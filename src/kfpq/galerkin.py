@@ -1,10 +1,16 @@
 """Hermite tensor-product discretization used as the independent oracle.
 
 Everything here is deliberately different from the closed-form modules: the
-generator and the weight operators are assembled from ladder matrices in the
-Hermite basis of L^2(R^2), exponentiated densely, and measured through power
+generator and the weight operators are assembled as sums of Kronecker
+products of one-variable ladder matrices in the Hermite basis of L^2(R^2)
+(see ``build``), exponentiated densely, and measured through power
 iteration on singular values.  Agreement between these numbers and the
 closed forms is the main cross-check of the package.
+
+The generator K keeps the parity of the total Hermite level m + n, so a
+decay curve exponentiates and power-iterates the even and the odd sector
+separately; the cross-sector blocks it leaves out are checked to be exactly
+zero (see ``decay_curve``).
 
 Truncation is the dominant error source.  Algebraic identities are therefore
 asserted only on interior blocks (indices whose ladder images stay below the
@@ -33,6 +39,7 @@ __all__ = [
     "PowerIterationStalled",
     "TruncationNotConverged",
     "IndefinitePencil",
+    "ParityNotConserved",
     "HermiteOperator",
     "CurveSample",
     "ConvergenceMeta",
@@ -70,6 +77,10 @@ class IndefinitePencil(np.linalg.LinAlgError):
     """Right-hand Gram of the subelliptic pencil lost positive definiteness."""
 
 
+class ParityNotConserved(ArithmeticError):
+    """A block that the parity split of a decay curve leaves out is not zero."""
+
+
 OPERATOR_LABELS = (
     "O_p", "O_q", "X", "Y", "K", "K_degenerate",
     "a_q", "a_q_star", "D_q", "grad_V", "weight_q",
@@ -90,7 +101,8 @@ class HermiteOperator:
     """Dense matrix of one model operator on the truncated Hermite basis.
 
     The flattened index is m * dim_p + n with m the q-level and n the
-    p-level.
+    p-level.  A parity-sector block keeps the dims of its assembly and holds
+    only the states of one parity of m + n, in flattened order.
     """
 
     dim_q: int
@@ -129,8 +141,37 @@ def interior_indices(dim_q: int, dim_p: int, margin: int) -> np.ndarray:
     return np.asarray(keep, dtype=int)
 
 
+def _kron_terms(label: str, params: ModelParams, dim_q: int, dim_p: int):
+    """(q-factor, p-factor, coefficient) terms whose Kronecker products sum
+    to the operator ``label``."""
+    qq, dq1, num_q = _ops_1d(dim_q)
+    pp, dp1, num_p = _ops_1d(dim_p)
+    eye_q, eye_p = np.eye(dim_q), np.eye(dim_p)
+    sign = 1.0 if params.alpha > 0 else -1.0
+    root_nu = np.sqrt(params.nu)
+    # p d_q -/+ q d_p for the attracting / repelling potential
+    transport = ((dq1, pp, 1.0), (qq, dp1, -sign))
+    table = {
+        "O_p": ((eye_q, num_p, 1.0),),
+        "O_q": ((num_q, eye_p, 1.0),),
+        "X": transport,
+        "Y": ((dq1, dp1, -1.0), (qq, pp, sign)),
+        "K": ((eye_q, num_p, 1.0),)
+             + tuple((q, p, root_nu * c) for q, p, c in transport),
+        "K_degenerate": ((dq1, pp, 1.0), (eye_q, dp1, -params.lambda1),
+                         (eye_q, num_p, 1.0), (eye_q, eye_p, -0.5)),
+        "a_q": ((ladder(dim_q), eye_p, 1.0),),
+        "a_q_star": ((ladder(dim_q).T, eye_p, 1.0),),
+        "D_q": ((dq1, eye_p, 1.0),),
+        "grad_V": ((qq, eye_p, sign * root_nu),),
+        "weight_q": ((np.diag(np.sqrt(params.nu * (np.arange(dim_q) + 0.5))),
+                      eye_p, 1.0),),
+    }
+    return table[label]
+
+
 def build(label: str, params: ModelParams, dim_q: int, dim_p: int) -> HermiteOperator:
-    """Assemble one operator matrix from ladder actions.
+    """Assemble one operator matrix as a sum of Kronecker products.
 
     Supported labels: O_p, O_q (oscillators), X (transport at unit
     curvature scale, multiplied by sqrt(nu) inside K), Y (commutator partner
@@ -139,56 +180,27 @@ def build(label: str, params: ModelParams, dim_q: int, dim_p: int) -> HermiteOpe
     (the q-derivative; its matrix is the skew form of i D_q, which has the
     same norms), grad_V (multiplication by the potential gradient), and
     weight_q (the diagonal square root of nu O_q).
+
+    Each operator is a short table of (q-factor, p-factor, coefficient)
+    terms on the one-variable ladder matrices, summed as
+    ``coefficient * kron(q_factor, p_factor)``; attracting transport, for
+    one, is ``kron(d_q, p) - kron(q, d_p)``.  No product of two full-size
+    matrices is formed.  Every q-factor is diagonal or tridiagonal, so each
+    Kronecker product is added block by block over the nonzero entries of
+    its q-factor; the entries are the ones ``np.kron`` would give.
     """
     if dim_q < 2 or dim_p < 2:
         raise ValueError("need at least two Hermite levels per variable")
     if label not in OPERATOR_LABELS:
         raise UnknownLabel("no operator labelled %r" % (label,))
-    qq, dq1, num_q = _ops_1d(dim_q)
-    pp, dp1, num_p = _ops_1d(dim_p)
-    eye_q, eye_p = np.eye(dim_q), np.eye(dim_p)
-    attracting = params.alpha > 0
-    root_nu = np.sqrt(params.nu)
-
-    if label == "O_p":
-        mat = np.kron(eye_q, num_p)
-    elif label == "O_q":
-        mat = np.kron(num_q, eye_p)
-    elif label in ("X", "Y", "K"):
-        p_mult = np.kron(eye_q, pp)
-        q_mult = np.kron(qq, eye_p)
-        d_q = np.kron(dq1, eye_p)
-        d_p = np.kron(eye_q, dp1)
-        if attracting:
-            transport = p_mult @ d_q - q_mult @ d_p
-            partner = -d_q @ d_p + q_mult @ p_mult
-        else:
-            transport = p_mult @ d_q + q_mult @ d_p
-            partner = -(d_q @ d_p + q_mult @ p_mult)
-        if label == "X":
-            mat = transport
-        elif label == "Y":
-            mat = partner
-        else:
-            mat = np.kron(eye_q, num_p) + root_nu * transport
-    elif label == "K_degenerate":
-        mat = (np.kron(eye_q, pp) @ np.kron(dq1, eye_p)
-               - params.lambda1 * np.kron(eye_q, dp1)
-               + np.kron(eye_q, num_p)
-               - 0.5 * np.eye(dim_q * dim_p))
-    elif label == "a_q":
-        mat = np.kron(ladder(dim_q), eye_p)
-    elif label == "a_q_star":
-        mat = np.kron(ladder(dim_q).T, eye_p)
-    elif label == "D_q":
-        mat = np.kron(dq1, eye_p)
-    elif label == "grad_V":
-        sign = 1.0 if attracting else -1.0
-        mat = sign * root_nu * np.kron(qq, eye_p)
-    else:  # weight_q
-        diag = np.sqrt(params.nu * (np.arange(dim_q) + 0.5))
-        mat = np.kron(np.diag(diag), eye_p)
-    return HermiteOperator(dim_q=dim_q, dim_p=dim_p, matrix=mat, label=label)
+    # (q-level row, p-level row, q-level column, p-level column)
+    mat = np.zeros((dim_q, dim_p, dim_q, dim_p))
+    for q_factor, p_factor, coefficient in _kron_terms(label, params, dim_q, dim_p):
+        for i, j in zip(*np.nonzero(q_factor)):
+            mat[i, :, j, :] += coefficient * (q_factor[i, j] * p_factor)
+    return HermiteOperator(dim_q=dim_q, dim_p=dim_p,
+                           matrix=mat.reshape(dim_q * dim_p, dim_q * dim_p),
+                           label=label)
 
 
 def corner_mode_vector(dim_q: int, dim_p: int) -> np.ndarray:
@@ -291,37 +303,65 @@ def _chained_exponentials(op: HermiteOperator, ts: Sequence[float]) -> dict:
     return cache
 
 
+def _parity_sectors(dim_q: int, dim_p: int) -> tuple:
+    """Flattened indices of the even and the odd total level m + n."""
+    parity = np.add.outer(np.arange(dim_q), np.arange(dim_p)).ravel() % 2
+    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+
+
+def _exact_zero(block: np.ndarray, what: str) -> None:
+    if np.any(block):
+        raise ParityNotConserved("%s couples the two parity sectors" % what)
+
+
 def _weighted_norm_values(quantity: str, params: ModelParams,
                           ts: Sequence[float], dim: int) -> list:
-    """Shifted oracle values e^{-t shift} ||W e^{-t K}|| at one truncation."""
+    """Shifted oracle values e^{-t shift} ||W e^{-t K}|| at one truncation,
+    taken sector by sector (see ``decay_curve``).
+
+    ``flip`` is 1 for a weight that changes the parity of m + n.
+    """
     root_nu = np.sqrt(params.nu)
     gen = build("K", params, dim, dim)
     if quantity == "evolution_norm":
-        weight = None
+        weight, flip = None, 0
         shift = 0.0
     elif quantity == "derivative_weight":
-        weight = root_nu * build("D_q", params, dim, dim).matrix
+        weight, flip = root_nu * build("D_q", params, dim, dim).matrix, 1
         shift = np.sqrt(_potential_constants(params).a)
     elif quantity == "gradient_weight":
-        weight = build("grad_V", params, dim, dim).matrix
+        weight, flip = build("grad_V", params, dim, dim).matrix, 1
         shift = np.sqrt(_potential_constants(params).a)
     elif quantity == "position_weight":
-        weight = build("weight_q", params, dim, dim).matrix
+        weight, flip = build("weight_q", params, dim, dim).matrix, 0
         shift = root_nu
     elif quantity == "creation_weight":
-        weight = root_nu * build("a_q_star", params, dim, dim).matrix
+        weight, flip = root_nu * build("a_q_star", params, dim, dim).matrix, 1
         shift = params.nu ** (1.0 / 3.0)
     else:
         raise UnknownLabel("no matrix curve for %r" % (quantity,))
-    exps = _chained_exponentials(gen, ts)
-    corner = corner_mode_vector(dim, dim) if params.alpha == 0 else None
-    values = []
-    for t in ts:
-        et = exps[t]
-        if corner is not None:
-            et = et - np.exp(-t / 2.0) * np.outer(corner, corner)
-        m = et if weight is None else weight @ et
-        values.append(operator_norm(m) * np.exp(-t * shift))
+    sectors = _parity_sectors(dim, dim)
+    _exact_zero(gen.matrix[np.ix_(sectors[0], sectors[1])], "K")
+    _exact_zero(gen.matrix[np.ix_(sectors[1], sectors[0])], "K")
+    corner = corner_mode_vector(dim, dim)
+    values = [0.0] * len(ts)
+    for parity, idx in enumerate(sectors):
+        block = HermiteOperator(dim_q=dim, dim_p=dim,
+                                matrix=gen.matrix[np.ix_(idx, idx)],
+                                label="%s[parity %d]" % (gen.label, parity))
+        exps = _chained_exponentials(block, ts)
+        if weight is not None:
+            _exact_zero(weight[np.ix_(sectors[parity ^ flip ^ 1], idx)],
+                        "the %s weight" % quantity)
+            w_block = weight[np.ix_(sectors[parity ^ flip], idx)]
+        corner_s = corner[idx]
+        deflate = params.alpha == 0 and corner_s.any()
+        for k, t in enumerate(ts):
+            et = exps[t]
+            if deflate:
+                et = et - np.exp(-t / 2.0) * np.outer(corner_s, corner_s)
+            m = et if weight is None else w_block @ et
+            values[k] = max(values[k], operator_norm(m) * np.exp(-t * shift))
     return values
 
 
@@ -419,6 +459,17 @@ def decay_curve(quantity_label: str, params: ModelParams,
     requested truncation; a relative change above ``drift_tol`` marks the
     sample unconverged and, when ``strict``, raises TruncationNotConverged.
     Flagged samples are still reported, never dropped.
+
+    The matrix curves work on the two parity sectors of m + n.  K is block
+    diagonal over them, so each sector block is exponentiated (and squared
+    along the grid) on its own.  The weight W = 1 (evolution_norm) or
+    weight_q keeps the parity; D_q, grad_V and a_q^* flip it, so W is applied
+    as its block from one sector to the other.  Either way W e^{-t K} maps
+    each sector onto one sector, and its norm is the larger of the two
+    sector-block norms.  The repelling corner mode, index (dims-1) * dims,
+    lies in the sector of parity dims - 1 and is deflated there only.  If a
+    cross-sector block of K, or the weight block left out, is not exactly
+    zero, ParityNotConserved is raised instead of dropping that block.
     """
     if quantity_label not in CURVE_QUANTITIES:
         raise UnknownLabel("no curve quantity %r" % (quantity_label,))

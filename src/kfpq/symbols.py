@@ -44,8 +44,6 @@ __all__ = [
     "kappa",
     "kappa0",
     "basis_coordinates",
-    "quaternion_coordinates",
-    "from_quaternion_coordinates",
     "commutator_check",
 ]
 
@@ -376,18 +374,6 @@ def basis_coordinates(matrix, mats) -> np.ndarray:
     cols = np.stack([np.asarray(b, dtype=complex).ravel() for b in mats], axis=1)
     coeffs, *_ = np.linalg.lstsq(cols, m.ravel(), rcond=None)
     return coeffs
-
-
-def quaternion_coordinates(matrix, basis: HamiltonBasis) -> np.ndarray:
-    """Coordinates (a, b, c, d) of a 4x4 matrix in span{Id, I, J, K}."""
-    idm = np.eye(4, dtype=complex)
-    return basis_coordinates(matrix, (idm, basis.I, basis.J, basis.K))
-
-
-def from_quaternion_coordinates(coeffs, basis: HamiltonBasis) -> np.ndarray:
-    a, b, c, d = coeffs
-    return (a * np.eye(4, dtype=complex) + b * basis.I
-            + c * basis.J + d * basis.K)
 
 
 def commutator_check(params: ModelParams) -> float:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from kfpq import galerkin
 from kfpq.galerkin import (
+    OPERATOR_LABELS,
+    ParityNotConserved,
     TruncationNotConverged,
     UnknownLabel,
     build,
@@ -21,7 +24,59 @@ from kfpq.symbols import ModelParams
 ALPHAS = (0.0, np.pi / 2)
 
 
+def _dense_product_reference(label, params, dim_q, dim_p):
+    """The operator as a product of full-size Kronecker lifts."""
+    a_q = ladder(dim_q)
+    qq = (a_q + a_q.T) / np.sqrt(2.0)
+    dq1 = (a_q - a_q.T) / np.sqrt(2.0)
+    num_q = np.diag(np.arange(dim_q) + 0.5)
+    a_p = ladder(dim_p)
+    pp = (a_p + a_p.T) / np.sqrt(2.0)
+    dp1 = (a_p - a_p.T) / np.sqrt(2.0)
+    num_p = np.diag(np.arange(dim_p) + 0.5)
+    eye_q, eye_p = np.eye(dim_q), np.eye(dim_p)
+    attracting = params.alpha > 0
+    root_nu = np.sqrt(params.nu)
+    p_mult = np.kron(eye_q, pp)
+    q_mult = np.kron(qq, eye_p)
+    d_q = np.kron(dq1, eye_p)
+    d_p = np.kron(eye_q, dp1)
+    if attracting:
+        transport = p_mult @ d_q - q_mult @ d_p
+        partner = -d_q @ d_p + q_mult @ p_mult
+    else:
+        transport = p_mult @ d_q + q_mult @ d_p
+        partner = -(d_q @ d_p + q_mult @ p_mult)
+    sign = 1.0 if attracting else -1.0
+    return {
+        "O_p": np.kron(eye_q, num_p),
+        "O_q": np.kron(num_q, eye_p),
+        "X": transport,
+        "Y": partner,
+        "K": np.kron(eye_q, num_p) + root_nu * transport,
+        "K_degenerate": (p_mult @ d_q - params.lambda1 * d_p
+                         + np.kron(eye_q, num_p)
+                         - 0.5 * np.eye(dim_q * dim_p)),
+        "a_q": np.kron(a_q, eye_p),
+        "a_q_star": np.kron(a_q.T, eye_p),
+        "D_q": d_q,
+        "grad_V": sign * root_nu * q_mult,
+        "weight_q": np.kron(np.diag(np.sqrt(params.nu * (np.arange(dim_q) + 0.5))),
+                            eye_p),
+    }[label]
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("label", OPERATOR_LABELS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("dim_q,dim_p", [(9, 9), (7, 11)])
+    def test_kronecker_table_matches_dense_products(self, label, alpha,
+                                                    dim_q, dim_p):
+        params = ModelParams(2.7, alpha, 0.6)
+        got = build(label, params, dim_q, dim_p).matrix
+        assert np.array_equal(got, _dense_product_reference(label, params,
+                                                            dim_q, dim_p))
+
     def test_ladder_adjoint_pair(self):
         a = ladder(12)
         q = build("a_q", ModelParams(1.0), 12, 4).matrix
@@ -112,6 +167,75 @@ class TestNormAndSemigroup:
         op = build("O_p", ModelParams(1.0), 4, 4)
         with pytest.raises(ValueError):
             semigroup_matrix(op, -0.1)
+
+
+MATRIX_CURVES = ("evolution_norm", "derivative_weight", "gradient_weight",
+                 "position_weight", "creation_weight")
+
+
+class TestParitySectors:
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_generator_cross_blocks_are_exactly_zero(self, alpha):
+        k = build("K", ModelParams(2.7, alpha), 12, 12).matrix
+        even, odd = galerkin._parity_sectors(12, 12)
+        assert len(even) + len(odd) == 144
+        assert not np.any(k[np.ix_(even, odd)])
+        assert not np.any(k[np.ix_(odd, even)])
+
+    @pytest.mark.parametrize("quantity", MATRIX_CURVES)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    # an odd truncation leaves one more even state than odd ones, so a
+    # flipping weight acts on rectangular blocks and the corner mode is even
+    @pytest.mark.parametrize("dim", [12, 11])
+    def test_split_matches_unsplit_matrix(self, quantity, alpha, dim,
+                                          monkeypatch):
+        params = ModelParams(2.0, alpha)
+        ts = (0.5, 1.0, 2.0)
+        k = build("K", params, dim, dim).matrix
+        root_nu = np.sqrt(params.nu)
+        root_a = np.sqrt(galerkin._potential_constants(params).a)
+        weight, shift = {
+            "evolution_norm": (np.eye(dim * dim), 0.0),
+            "derivative_weight": (root_nu * build("D_q", params, dim, dim).matrix,
+                                  root_a),
+            "gradient_weight": (build("grad_V", params, dim, dim).matrix, root_a),
+            "position_weight": (build("weight_q", params, dim, dim).matrix,
+                                root_nu),
+            "creation_weight": (root_nu * build("a_q_star", params, dim,
+                                                dim).matrix,
+                                params.nu ** (1.0 / 3.0)),
+        }[quantity]
+        v = corner_mode_vector(dim, dim)
+        unsplit = []
+        for t in ts:
+            corner = np.exp(-t / 2.0) * np.outer(v, v) if alpha == 0 else 0.0
+            unsplit.append(np.linalg.norm(weight @ (scipy.linalg.expm(-t * k)
+                                                    - corner), 2)
+                           * np.exp(-t * shift))
+        # the oracle: power iteration stops when successive estimates agree
+        # to 1e-10, which leaves up to a few 1e-9 on the gaps met here
+        oracle = galerkin._weighted_norm_values(quantity, params, ts, dim)
+        assert oracle == pytest.approx(unsplit, rel=1e-8)
+        # the split itself, with exact sector-block norms
+        monkeypatch.setattr(galerkin, "operator_norm",
+                            lambda m: np.linalg.norm(m, 2))
+        exact = galerkin._weighted_norm_values(quantity, params, ts, dim)
+        assert exact == pytest.approx(unsplit, rel=1e-12)
+
+    def test_parity_breaking_generator_raises(self, monkeypatch):
+        # the linear-potential drift -lambda1 d_p moves the level by one
+        real_build = galerkin.build
+
+        def degenerate_as_k(label, params, dim_q, dim_p):
+            if label == "K":
+                label = "K_degenerate"
+            return real_build(label, params, dim_q, dim_p)
+
+        monkeypatch.setattr(galerkin, "build", degenerate_as_k)
+        with pytest.raises(ParityNotConserved):
+            galerkin._weighted_norm_values("evolution_norm",
+                                           ModelParams(1.0, np.pi / 2, 1.0),
+                                           (1.0,), 8)
 
 
 class TestDecayCurves:
