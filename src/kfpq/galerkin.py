@@ -3,14 +3,17 @@
 Everything here is deliberately different from the closed-form modules: the
 generator and the weight operators are assembled as sums of Kronecker
 products of one-variable ladder matrices in the Hermite basis of L^2(R^2)
-(see ``build``), exponentiated densely, and measured through power
-iteration on singular values.  Agreement between these numbers and the
-closed forms is the main cross-check of the package.
+(see ``build``), exponentiated on the blocks the generator conserves, and
+measured through power iteration on singular values.  Agreement between
+these numbers and the closed forms is the main cross-check of the package.
 
-The generator K keeps the parity of the total Hermite level m + n, so a
-decay curve exponentiates and power-iterates the even and the odd sector
-separately; the cross-sector blocks it leaves out are checked to be exactly
-zero (see ``decay_curve``).
+The generator K conserves a Hermite level: attracting transport
+a_q a_p^* - a_q^* a_p keeps m + n, repelling transport a_q a_p - a_q^* a_p^*
+keeps m - n, and O_p is diagonal.  K is therefore block diagonal with
+dim_q + dim_p - 1 blocks of at most min(dim_q, dim_p) states, each of one
+parity of m + n.  A decay curve exponentiates every block on its own and
+power-iterates the even and the odd sector separately (see
+``decay_curve``).
 
 Truncation is the dominant error source.  Algebraic identities are therefore
 asserted only on interior blocks (indices whose ladder images stay below the
@@ -26,6 +29,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
+from scipy.sparse.csgraph import connected_components
 
 from .bargmann import remainder_bound
 from .degenerate import fiber_exponent, sup_weighted
@@ -78,7 +83,8 @@ class IndefinitePencil(np.linalg.LinAlgError):
 
 
 class ParityNotConserved(ArithmeticError):
-    """A block that the parity split of a decay curve leaves out is not zero."""
+    """A block of K mixes the parities of m + n, or a weight block that the
+    parity split of a decay curve leaves out is not zero."""
 
 
 OPERATOR_LABELS = (
@@ -101,8 +107,8 @@ class HermiteOperator:
     """Dense matrix of one model operator on the truncated Hermite basis.
 
     The flattened index is m * dim_p + n with m the q-level and n the
-    p-level.  A parity-sector block keeps the dims of its assembly and holds
-    only the states of one parity of m + n, in flattened order.
+    p-level.  A conserved-level block of K keeps the dims of its assembly
+    and holds only the states of that level, in flattened order.
     """
 
     dim_q: int
@@ -314,10 +320,53 @@ def _exact_zero(block: np.ndarray, what: str) -> None:
         raise ParityNotConserved("%s couples the two parity sectors" % what)
 
 
+def _conserved_blocks(gen: HermiteOperator) -> tuple:
+    """Connected components of the nonzero pattern of ``gen``, grouped by
+    the parity of m + n: (even blocks, odd blocks), each a list of
+    flattened index arrays in increasing order.
+
+    Raises ParityNotConserved if a component holds both parities.
+    """
+    # the CSR pattern holds exactly the nonzeros, and converts to a graph
+    # faster than a dense boolean mask
+    count, labels = connected_components(scipy.sparse.csr_array(gen.matrix),
+                                         directed=True, connection="weak")
+    blocks = ([], [])
+    for label in range(count):
+        states = np.flatnonzero(labels == label)
+        parity = (states // gen.dim_p + states % gen.dim_p) % 2
+        if np.any(parity != parity[0]):
+            raise ParityNotConserved("a block of %s mixes the parities of m + n"
+                                     % gen.label)
+        blocks[parity[0]].append(states)
+    return blocks
+
+
+def _sector_exponentials(gen: HermiteOperator, idx: np.ndarray,
+                         blocks: list, ts: Sequence[float]):
+    """Yield e^{-t K} on the sector ``idx`` for each t of the sorted grid
+    ``ts``, assembled from the exponentials of the ``blocks`` it holds.
+
+    Each block is exponentiated and squared along the grid on its own; every
+    yielded matrix is a fresh array that the caller may change.
+    """
+    where = [np.searchsorted(idx, states) for states in blocks]
+    chains = [_chained_exponentials(
+        HermiteOperator(dim_q=gen.dim_q, dim_p=gen.dim_p,
+                        matrix=gen.matrix[np.ix_(states, states)],
+                        label="%s[block %d]" % (gen.label, k)), ts)
+        for k, states in enumerate(blocks)]
+    for t in ts:
+        et = np.zeros((len(idx), len(idx)))
+        for pos, chain in zip(where, chains):
+            et[np.ix_(pos, pos)] = chain[t]
+        yield et
+
+
 def _weighted_norm_values(quantity: str, params: ModelParams,
                           ts: Sequence[float], dim: int) -> list:
     """Shifted oracle values e^{-t shift} ||W e^{-t K}|| at one truncation,
-    taken sector by sector (see ``decay_curve``).
+    taken sector by sector from the blocks of K (see ``decay_curve``).
 
     ``flip`` is 1 for a weight that changes the parity of m + n.
     """
@@ -340,26 +389,23 @@ def _weighted_norm_values(quantity: str, params: ModelParams,
         shift = params.nu ** (1.0 / 3.0)
     else:
         raise UnknownLabel("no matrix curve for %r" % (quantity,))
+    blocks = _conserved_blocks(gen)
     sectors = _parity_sectors(dim, dim)
-    _exact_zero(gen.matrix[np.ix_(sectors[0], sectors[1])], "K")
-    _exact_zero(gen.matrix[np.ix_(sectors[1], sectors[0])], "K")
-    corner = corner_mode_vector(dim, dim)
+    # the repelling corner mode is one basis state, so deflating its
+    # projector changes one diagonal entry of the sector that holds it
+    corner = corner_mode_vector(dim, dim) * (params.alpha == 0)
     values = [0.0] * len(ts)
     for parity, idx in enumerate(sectors):
-        block = HermiteOperator(dim_q=dim, dim_p=dim,
-                                matrix=gen.matrix[np.ix_(idx, idx)],
-                                label="%s[parity %d]" % (gen.label, parity))
-        exps = _chained_exponentials(block, ts)
         if weight is not None:
             _exact_zero(weight[np.ix_(sectors[parity ^ flip ^ 1], idx)],
                         "the %s weight" % quantity)
-            w_block = weight[np.ix_(sectors[parity ^ flip], idx)]
-        corner_s = corner[idx]
-        deflate = params.alpha == 0 and corner_s.any()
-        for k, t in enumerate(ts):
-            et = exps[t]
-            if deflate:
-                et = et - np.exp(-t / 2.0) * np.outer(corner_s, corner_s)
+            # at most two nonzeros per row
+            w_block = scipy.sparse.csr_array(
+                weight[np.ix_(sectors[parity ^ flip], idx)])
+        deflate = np.flatnonzero(corner[idx])
+        exps = _sector_exponentials(gen, idx, blocks[parity], ts)
+        for k, (t, et) in enumerate(zip(ts, exps)):
+            et[deflate, deflate] -= np.exp(-t / 2.0)
             m = et if weight is None else w_block @ et
             values[k] = max(values[k], operator_norm(m) * np.exp(-t * shift))
     return values
@@ -401,13 +447,13 @@ def _fiber_matrix_sup(t: float, lambda1: float, dim: int,
     """
     x1, _, _ = _ops_1d(dim)
     base = np.diag(np.arange(dim, dtype=float)) + np.eye(dim)
+    xis = xi_grid[xi_grid != 0.0]
+    b = np.hypot(xis, lambda1)
+    fibers = base + 1j * b[:, None, None] * x1
     best = 0.0
-    for xi in xi_grid:
-        if xi == 0.0:
-            continue
-        b = np.hypot(xi, lambda1)
-        fiber = base + 1j * b * x1
-        val = abs(xi) * operator_norm(scipy.linalg.expm(-t * fiber))
+    # expm takes the stack of fibers and exponentiates each one on its own
+    for xi, exp_fiber in zip(xis, scipy.linalg.expm(-t * fibers)):
+        val = abs(xi) * operator_norm(exp_fiber)
         if val > best:
             best = val
     return best
@@ -460,16 +506,21 @@ def decay_curve(quantity_label: str, params: ModelParams,
     sample unconverged and, when ``strict``, raises TruncationNotConverged.
     Flagged samples are still reported, never dropped.
 
-    The matrix curves work on the two parity sectors of m + n.  K is block
-    diagonal over them, so each sector block is exponentiated (and squared
-    along the grid) on its own.  The weight W = 1 (evolution_norm) or
-    weight_q keeps the parity; D_q, grad_V and a_q^* flip it, so W is applied
-    as its block from one sector to the other.  Either way W e^{-t K} maps
-    each sector onto one sector, and its norm is the larger of the two
-    sector-block norms.  The repelling corner mode, index (dims-1) * dims,
-    lies in the sector of parity dims - 1 and is deflated there only.  If a
-    cross-sector block of K, or the weight block left out, is not exactly
-    zero, ParityNotConserved is raised instead of dropping that block.
+    The matrix curves work on the blocks of K.  The attracting K conserves
+    m + n and the repelling K conserves m - n, so K is block diagonal with
+    2 dims - 1 blocks (the connected components of its nonzero pattern) of
+    at most dims states each.  Each block is exponentiated, and squared
+    along the grid, on its own; the results are written into the dense
+    exponential of the parity sector of m + n that holds the block.  If a
+    block holds both parities, ParityNotConserved is raised.  The weight
+    W = 1 (evolution_norm) or weight_q keeps the parity; D_q, grad_V and
+    a_q^* flip it, so W is applied, as a sparse matrix, as its block from
+    one sector to the other.  Either way W e^{-t K} maps each sector onto
+    one sector, and its norm is the larger of the two sector-block norms.
+    The repelling corner mode, index (dims-1) * dims, is a block of its own
+    (m - n = dims - 1 has one state), so deflating it changes one diagonal
+    entry of its sector.  If the weight block left out is not exactly zero,
+    ParityNotConserved is raised instead of dropping that block.
     """
     if quantity_label not in CURVE_QUANTITIES:
         raise UnknownLabel("no curve quantity %r" % (quantity_label,))

@@ -182,6 +182,40 @@ class TestParitySectors:
         assert not np.any(k[np.ix_(even, odd)])
         assert not np.any(k[np.ix_(odd, even)])
 
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("nu", [1.0, 2.7])
+    @pytest.mark.parametrize("dim_q,dim_p", [(12, 12), (7, 11)])
+    def test_blocks_are_conserved_level_sets(self, alpha, nu, dim_q, dim_p):
+        gen = build("K", ModelParams(nu, alpha), dim_q, dim_p)
+        blocks = galerkin._conserved_blocks(gen)
+        m, n = np.divmod(np.arange(dim_q * dim_p), dim_p)
+        # attracting transport keeps m + n, repelling transport keeps m - n
+        level = m + n if alpha > 0 else m - n
+        expected = {tuple(np.flatnonzero(level == v)) for v in np.unique(level)}
+        got = [tuple(states) for sector in blocks for states in sector]
+        assert len(got) == dim_q + dim_p - 1
+        assert set(got) == expected
+        for parity, sector in enumerate(blocks):
+            for states in sector:
+                assert np.all((m + n)[states] % 2 == parity)
+        corner = np.flatnonzero(corner_mode_vector(dim_q, dim_p))[0]
+        holding = [states for states in got if corner in states]
+        if alpha == 0:
+            assert holding == [(corner,)]
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_block_exponentials_match_sector_expm(self, alpha):
+        gen = build("K", ModelParams(2.0, alpha), 12, 12)
+        blocks = galerkin._conserved_blocks(gen)
+        ts = (0.5, 1.0, 2.0)
+        for parity, idx in enumerate(galerkin._parity_sectors(12, 12)):
+            sector = gen.matrix[np.ix_(idx, idx)]
+            assembled = galerkin._sector_exponentials(gen, idx, blocks[parity],
+                                                      ts)
+            for t, et in zip(ts, assembled):
+                assert np.max(np.abs(et - scipy.linalg.expm(-t * sector))) \
+                    <= 1e-13
+
     @pytest.mark.parametrize("quantity", MATRIX_CURVES)
     @pytest.mark.parametrize("alpha", ALPHAS)
     # an odd truncation leaves one more even state than odd ones, so a
