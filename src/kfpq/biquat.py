@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Biquaternion", "SingularBiquaternion"]
+__all__ = ["Biquaternion", "NonFiniteBiquaternion", "SingularBiquaternion"]
 
 # Below this modulus of N(v) the exponential switches to even power series in
 # N(v); cos and sinc are entire in N(v), so the switch is smooth.
@@ -29,6 +29,10 @@ _SERIES_CUTOFF = 1e-4
 
 class SingularBiquaternion(ZeroDivisionError):
     """Inversion attempted on an element whose norm form vanishes."""
+
+
+class NonFiniteBiquaternion(ValueError, ArithmeticError):
+    """A coefficient is infinite or NaN, as left behind by an overflow."""
 
 
 def _sqrt_cos_sinc(nv: complex):
@@ -58,7 +62,8 @@ class Biquaternion:
         for name in ("a", "b", "c", "d"):
             v = complex(getattr(self, name))
             if not (np.isfinite(v.real) and np.isfinite(v.imag)):
-                raise ValueError("non-finite coefficient %r" % name)
+                raise NonFiniteBiquaternion("non-finite coefficient %s = %r"
+                                            % (name, v))
             object.__setattr__(self, name, v)
 
     # ring structure ----------------------------------------------------

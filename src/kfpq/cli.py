@@ -301,7 +301,11 @@ def _cmd_norms(opts):
 def _delta0_root(t: float, params: ModelParams) -> float:
     """Root of the flow-form determinant, bracketed around the closed form."""
     def det_real(d):
-        return positivity_report(t, float(d), params, 1).det_value.real
+        value = positivity_report(t, float(d), params, 1).det_value.real
+        if not np.isfinite(value):
+            raise NonRealDelta0("determinant is %r at delta=%g, t=%g"
+                                % (value, d, t))
+        return value
 
     d0 = delta0(t, params)
     lo, hi = 0.5 * d0, 1.5 * d0

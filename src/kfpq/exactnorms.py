@@ -41,11 +41,10 @@ __all__ = [
     "boosted_state_norm_quadrature",
 ]
 
-# Beyond this half-argument the exact cosh/sinh factors overflow double
-# precision budgets; the mu factors switch to their logarithmic asymptotics
-# (relative error below e^{-2*300}).
-# the eigenvalue route holds cosh^4(theta); switch to logarithms well before
-# that hits the double-precision ceiling near theta = 177
+# Beyond this half-argument theta the mu factors switch to their logarithmic
+# asymptotics, well before the eigenvalue route's cosh^4(theta) reaches the
+# double-precision ceiling near theta = 177; the asymptotics are off by
+# e^{-2 theta} < e^{-300} there.
 _LOG_SWITCH = 150.0
 
 

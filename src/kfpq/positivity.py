@@ -1,37 +1,43 @@
 """Positivity window for the conjugated position weight.
 
 Conjugating the model semigroup by the twisted position-weight flow stays
-bounded exactly as long as the difference of two sesquilinear forms on the
-invariant 2x2 blocks is positive semidefinite.  Both forms are closed
-expressions in the tilde representation {Id, I~, J~, K~} of the
-biquaternions on a block:
+bounded exactly as long as the difference of two sesquilinear forms on an
+invariant plane of the flow is positive semidefinite.  Both forms are
+biquaternions a + b I + c J + d K in the units of ``hamilton_basis(alpha)``,
+with closed coefficients:
 
 * ``position_flow_form``   the weight side, depending on delta only,
 * ``evolved_flow_form``    the evolved model side, depending on t only.
 
-Their difference is Hermitian for admissible angles; its determinant
-vanishes at an explicit threshold delta0(t) > 0, and positivity holds for
-0 <= delta < delta0(t).  For small t the threshold behaves like
-nu t^3 / 12, which is what makes the weight useful: ``delta0`` evaluates
-the closed logarithm with a series-protected bracket so the cubic regime
-survives in floating point, and ``position_weight_decay_bound`` turns the
-threshold into the decay envelope of the weighted semigroup.
+On the plane selected by ``sign`` (T_plus for +1, T_minus for -1) the
+units I, J, K compress to anti-Hermitian 2x2 matrices that square to -1,
+so the determinant of the difference is its norm form
+a^2 + b^2 + c^2 + d^2 and the smallest eigenvalue of its Hermitian part is
+Re a - |(Im b, Im c, Im d)|; ``positivity_report`` reads both off the
+coefficients.  The determinant vanishes at an explicit threshold
+delta0(t) > 0, and positivity holds for 0 <= delta < delta0(t).  For small
+t the threshold behaves like nu t^3 / 12, which is what makes the weight
+useful: ``delta0`` evaluates the closed logarithm with a series-protected
+bracket so the cubic regime survives in floating point, and
+``position_weight_decay_bound`` turns the threshold into the decay
+envelope of the weighted semigroup.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from kfpq.symbols import ModelParams, _flow_factors, basis_coordinates
+from kfpq.biquat import Biquaternion
+from kfpq.symbols import ModelParams, _flow_factors, hamilton_basis
 
 __all__ = [
     "NonRealDelta0",
     "PositivityReport",
     "Delta0Curve",
     "delta0_curve",
-    "tilde_basis",
     "position_flow_form",
     "evolved_flow_form",
     "hermitian_difference",
@@ -50,11 +56,12 @@ class NonRealDelta0(ArithmeticError):
 class PositivityReport:
     """Decomposition of the form difference at one (t, delta) pair.
 
-    coeffs holds (a, b, c, d) of the normalized representation
-    e^{-sign*t} (a Id + b I~ + c J~ + d K~); det_value is the multiplicative
-    determinant a^2 + b^2 + c^2 + d^2 of that normalized matrix, which
-    vanishes at delta = delta0(t).  min_eigenvalue is the smallest eigenvalue
-    of the Hermitian part of the normalized difference.
+    coeffs holds (a, b, c, d) of the normalized difference
+    w = e^{sign*t} (position form - evolved form) = a + b I + c J + d K.
+    det_value is its norm form a^2 + b^2 + c^2 + d^2, the determinant of
+    its 2x2 compression, which vanishes at delta = delta0(t).
+    min_eigenvalue is the smallest eigenvalue of the Hermitian part of that
+    compression, Re a - |(Im b, Im c, Im d)|.
     """
 
     t: float
@@ -71,66 +78,61 @@ def _check_sign(sign: int) -> int:
     return sign
 
 
-def tilde_basis(alpha: float, sign: int):
-    """2x2 tilde representation (Id, I~, J~, K~) on the sign-labelled block."""
-    s = _check_sign(sign)
-    ep = np.exp(1j * alpha)
-    idm = np.eye(2, dtype=complex)
-    it = np.array([[1j * s, 0], [0, -1j * s]], dtype=complex)
-    jt = np.array([[0, -1j / ep], [-1j * ep, 0]], dtype=complex)
-    kt = np.array([[0, s / ep], [-s * ep, 0]], dtype=complex)
-    return idm, it, jt, kt
-
-
-def position_flow_form(delta: float, params: ModelParams, sign: int) -> np.ndarray:
+def position_flow_form(delta: float, params: ModelParams,
+                       sign: int) -> Biquaternion:
     """Weight-side form: closed in cosh and sinh of delta e^{2 i alpha}."""
     s = _check_sign(sign)
     alpha = params.alpha
-    idm, it, _, _ = tilde_basis(alpha, s)
     w = delta * np.exp(2j * alpha)
     ch, sh = np.cosh(w), np.sinh(w)
     sa, ca = np.sin(alpha), np.cos(alpha)
     pref = np.exp(s * w)
-    return pref * ((s * sa * ch - sh * ca) * idm
-                   + 1j * (ca * ch - s * sa * sh) * it)
+    return Biquaternion(pref * (s * sa * ch - sh * ca),
+                        pref * 1j * (ca * ch - s * sa * sh))
 
 
-def evolved_flow_form(t: float, params: ModelParams, sign: int) -> np.ndarray:
+def evolved_flow_form(t: float, params: ModelParams,
+                      sign: int) -> Biquaternion:
     """Evolved-side form: closed in the flow factors C, S at time t."""
     s = _check_sign(sign)
     alpha = params.alpha
     z = params.z
-    idm, it, jt, kt = tilde_basis(alpha, s)
     c, sf = _flow_factors(t, params.n1sq)
     p = 1 + 2 * sf * sf
     cs = c * sf
     sa, ca = np.sin(alpha), np.cos(alpha)
-    mat = ((s * sa * p - 2 * ca * cs) * idm
-           + 1j * ca * p * it
-           - 2j * s * sa * cs * it
-           + 4j * z * ca * sf * sf * jt
-           - 4 * z * s * sa * sf * sf * kt)
-    return np.exp(-s * t) * mat
+    return Biquaternion(s * sa * p - 2 * ca * cs,
+                        1j * ca * p - 2j * s * sa * cs,
+                        4j * z * ca * sf * sf,
+                        -4 * z * s * sa * sf * sf) * np.exp(-s * t)
 
 
 def hermitian_difference(t: float, delta: float, params: ModelParams,
                          sign: int) -> np.ndarray:
-    """Weight-side form minus evolved-side form (Hermitian for real inputs)."""
-    return (position_flow_form(delta, params, sign)
-            - evolved_flow_form(t, params, sign))
+    """Weight-side form minus evolved-side form as a 2x2 matrix.
+
+    The compression T^* (a + b I + c J + d K) T of the difference to the
+    sign's invariant plane (T_plus for +1, T_minus for -1) in
+    ``hamilton_basis(alpha)``; Hermitian for real inputs.
+    """
+    s = _check_sign(sign)
+    w = (position_flow_form(delta, params, s)
+         - evolved_flow_form(t, params, s))
+    basis = hamilton_basis(params.alpha)
+    frame = basis.T_plus if s == 1 else basis.T_minus
+    full = w.a * np.eye(4) + w.b * basis.I + w.c * basis.J + w.d * basis.K
+    return frame.conj().T @ full @ frame
 
 
 def positivity_report(t: float, delta: float, params: ModelParams,
                       sign: int) -> PositivityReport:
     s = _check_sign(sign)
-    diff = hermitian_difference(t, delta, params, s)
-    scaled = np.exp(s * t) * diff
-    coeffs = basis_coordinates(scaled, tilde_basis(params.alpha, s))
-    det_value = complex(np.sum(coeffs * coeffs))
-    herm = (scaled + scaled.conj().T) / 2
-    min_eig = float(np.linalg.eigvalsh(herm)[0])
-    return PositivityReport(t=float(t), delta=float(delta), coeffs=coeffs,
-                            det_value=det_value, min_eigenvalue=min_eig,
+    w = (position_flow_form(delta, params, s)
+         - evolved_flow_form(t, params, s)) * np.exp(s * t)
+    min_eig = w.a.real - math.hypot(w.b.imag, w.c.imag, w.d.imag)
+    return PositivityReport(t=float(t), delta=float(delta),
+                            coeffs=np.array([w.a, w.b, w.c, w.d]),
+                            det_value=w.norm(), min_eigenvalue=min_eig,
                             is_positive=bool(min_eig > 0.0))
 
 

@@ -13,15 +13,16 @@ symplectic form.
 
 The Hamilton maps of the model span a biquaternion line: this module builds
 the 4x4 representation E, I, J, K of that algebra together with the two
-isotropic-plane isometries T_plus and T_minus used to compress 4x4 flows to
-2x2 blocks.  The flows ``kappa`` (model evolution) and ``kappa0`` (position
-weight twist) are closed forms; scipy.linalg.expm of the Hamilton map serves
-as their oracle in the tests, never as the implementation.
+isotropic-plane isometries T_plus and T_minus that compress it to 2x2
+blocks on the invariant planes.  The flows ``kappa`` (model evolution) and
+``kappa0`` (position weight twist) are closed forms; scipy.linalg.expm of
+the Hamilton map serves as their oracle in the tests, never as the
+implementation.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "constants",
     "hamilton_map",
     "oscillator_p_hessian",
-    "oscillator_q_hessian",
     "rotated_oscillator_hessian",
     "transport_hessian",
     "commutator_partner_hessian",
@@ -43,7 +43,6 @@ __all__ = [
     "hamilton_basis",
     "kappa",
     "kappa0",
-    "basis_coordinates",
     "commutator_check",
 ]
 
@@ -167,14 +166,6 @@ def oscillator_p_hessian() -> np.ndarray:
     return h
 
 
-def oscillator_q_hessian() -> np.ndarray:
-    """Hessian of (q^2 + xi_q^2) / 2."""
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 0] = 1.0
-    h[2, 2] = 1.0
-    return h
-
-
 def rotated_oscillator_hessian(alpha: float) -> np.ndarray:
     """Hessian of ((e^{i alpha} q)^2 + (e^{-i alpha} xi_q)^2) / 2."""
     h = np.zeros((4, 4), dtype=complex)
@@ -294,15 +285,9 @@ def hamilton_basis(alpha: float) -> HamiltonBasis:
 
 @dataclass(frozen=True)
 class CanonicalMap:
-    """A 4x4 complex canonical transformation with its 2x2 compressions.
-
-    plus_block and minus_block are T_plus^* M T_plus and T_minus^* M T_minus
-    for the basis at the same angle.
-    """
+    """A 4x4 complex canonical transformation."""
 
     matrix: np.ndarray
-    plus_block: np.ndarray = field(repr=False, default=None)
-    minus_block: np.ndarray = field(repr=False, default=None)
 
 
 def _flow_factors(t: float, n1sq: float):
@@ -321,15 +306,7 @@ def _flow_factors(t: float, n1sq: float):
     return np.cosh(th), np.sinh(th) / n1
 
 
-def _compress(matrix: np.ndarray, basis: HamiltonBasis) -> CanonicalMap:
-    return CanonicalMap(
-        matrix=matrix,
-        plus_block=basis.T_plus.conj().T @ matrix @ basis.T_plus,
-        minus_block=basis.T_minus.conj().T @ matrix @ basis.T_minus,
-    )
-
-
-def kappa(t: float, params: ModelParams, basis: HamiltonBasis | None = None) -> CanonicalMap:
+def kappa(t: float, params: ModelParams) -> CanonicalMap:
     """Flow of the model at time t as a closed biquaternion product.
 
     kappa(t) = (cosh(t/2) Id + i sinh(t/2) E) (C Id + i S (I + 2 z J)) with
@@ -337,17 +314,16 @@ def kappa(t: float, params: ModelParams, basis: HamiltonBasis | None = None) -> 
     property in t and equals expm(-i t F_K) for the Hamilton map F_K of the
     model symbol.
     """
-    if basis is None:
-        basis = hamilton_basis(params.alpha)
+    basis = hamilton_basis(params.alpha)
     idm = np.eye(4, dtype=complex)
     c0, s0 = np.cosh(t / 2), np.sinh(t / 2)
     c1, s1 = _flow_factors(t, params.n1sq)
     left = c0 * idm + 1j * s0 * basis.E
     right = c1 * idm + 1j * s1 * (basis.I + 2 * params.z * basis.J)
-    return _compress(left @ right, basis)
+    return CanonicalMap(left @ right)
 
 
-def kappa0(delta: float, params: ModelParams, basis: HamiltonBasis | None = None) -> CanonicalMap:
+def kappa0(delta: float, params: ModelParams) -> CanonicalMap:
     """Twisted position-weight flow for weight parameter delta.
 
     kappa0(delta) = (cosh(w) Id + i sinh(w) E) (cosh(w) Id - i sinh(w) I)
@@ -355,25 +331,16 @@ def kappa0(delta: float, params: ModelParams, basis: HamiltonBasis | None = None
     rotation cancel: for both admissible angles the matrix equals
     expm(+i delta F0) with F0 the Hamilton map of (q^2 + xi_q^2) / 2.
     """
-    if basis is None:
-        basis = hamilton_basis(params.alpha)
+    basis = hamilton_basis(params.alpha)
     idm = np.eye(4, dtype=complex)
     w = delta * np.exp(2j * params.alpha) / 2
     cw, sw = np.cosh(w), np.sinh(w)
     matrix = (cw * idm + 1j * sw * basis.E) @ (cw * idm - 1j * sw * basis.I)
-    return _compress(matrix, basis)
+    return CanonicalMap(matrix)
 
 
 # ---------------------------------------------------------------------------
-# coordinates in a matrix basis
-
-
-def basis_coordinates(matrix, mats) -> np.ndarray:
-    """Least-squares coordinates of ``matrix`` in the span of ``mats``."""
-    m = np.asarray(matrix, dtype=complex)
-    cols = np.stack([np.asarray(b, dtype=complex).ravel() for b in mats], axis=1)
-    coeffs, *_ = np.linalg.lstsq(cols, m.ravel(), rcond=None)
-    return coeffs
+# bracket relations
 
 
 def commutator_check(params: ModelParams) -> float:

@@ -121,6 +121,15 @@ class TestErrorExits:
         assert rc == 3
         assert "GridUnderResolved" in err
 
+    @pytest.mark.parametrize("command", ["delta0", "positivity"])
+    @pytest.mark.parametrize("nu", ["5000", "1e4", "1e6"])
+    def test_overflow_at_large_nu_is_exit_3(self, capsys, command, nu):
+        # the flow-form coefficients grow like e^{2 sqrt(nu) t}; at t = 3 the
+        # determinant or the threshold itself is no longer finite
+        rc, _, err = run(capsys, [command, "--nu", nu, "--t", "3:3:1:lin"])
+        assert rc == 3
+        assert "numerical failure" in err
+
     def test_config_error_importable(self):
         assert issubclass(ConfigError, ValueError)
 

@@ -1,0 +1,18 @@
+"""Every name a kfpq module exports must exist."""
+
+import importlib
+import pkgutil
+
+import pytest
+
+import kfpq
+
+MODULES = ["kfpq"] + ["kfpq." + m.name
+                      for m in pkgutil.iter_modules(kfpq.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert missing == []

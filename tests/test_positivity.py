@@ -7,7 +7,7 @@ import scipy.optimize
 from kfpq.positivity import (Delta0Curve, delta0, delta0_curve,
                              delta0_lower_bound_check, hermitian_difference,
                              position_weight_decay_bound, positivity_report)
-from kfpq.symbols import ModelParams
+from kfpq.symbols import ModelParams, hamilton_basis, kappa, kappa0
 
 ALPHAS = (0.0, np.pi / 2)
 
@@ -67,16 +67,42 @@ def test_difference_form_is_hermitian():
         assert np.max(np.abs(h - h.conj().T)) < 1e-12
 
 
-def test_report_eigenvalue_matches_difference_form():
-    # the report rescales by e^{st} before hermitizing
-    params = ModelParams(nu=1.0, alpha=np.pi / 2)
-    t, sign = 0.8, -1
-    delta = 0.5 * delta0(t, params)
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("sign", [1, -1])
+def test_difference_form_is_the_flowed_sigma_form(alpha, sign):
+    # both forms are i sigma pulled back by a 4x4 flow, the weight side by
+    # kappa0(delta) and the evolved side by kappa(t)^{-1}, then compressed
+    # to the sign's invariant plane
+    params = ModelParams(nu=1.3, alpha=alpha)
+    basis = hamilton_basis(alpha)
+    frame = basis.T_plus if sign == 1 else basis.T_minus
+    for t, delta in ((0.3, 0.001), (1.5, 0.05)):
+        weight = kappa0(delta, params).matrix
+        model = np.linalg.inv(kappa(t, params).matrix)
+        form = 1j * (weight.conj().T @ basis.sigma @ weight
+                     - model.conj().T @ basis.sigma @ model)
+        expected = frame.conj().T @ form @ frame
+        got = hermitian_difference(t, delta, params, sign)
+        assert np.max(np.abs(got - expected)) < 1e-12 * max(
+            1.0, float(np.max(np.abs(expected))))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("t", [0.05, 0.8, 3.0])
+@pytest.mark.parametrize("frac", [0.0, 0.5])
+def test_report_eigenvalue_matches_difference_form(alpha, sign, t, frac):
+    # the report reads its eigenvalue and determinant off the coefficients;
+    # the 2x2 matrix, rescaled by e^{st}, is the independent route
+    params = ModelParams(nu=1.0, alpha=alpha)
+    delta = frac * delta0(t, params)
     rep = positivity_report(t, delta, params, sign)
     scaled = np.exp(sign * t) * hermitian_difference(t, delta, params, sign)
     herm = (scaled + scaled.conj().T) / 2
     eigs = np.linalg.eigvalsh(herm)
     assert abs(rep.min_eigenvalue - eigs[0]) < 1e-12
+    scale = 1.0 + float(np.max(np.abs(scaled))) ** 2
+    assert abs(rep.det_value - np.linalg.det(scaled)) < 1e-13 * scale
 
 
 @pytest.mark.parametrize("nu", [0.5, 1.0, 4.0, 25.0, 1e4])

@@ -153,16 +153,6 @@ def test_flow_factors_series_seam():
     assert np.max(np.abs(mid_hi - mid_lo)) < 1e-10
 
 
-def test_compressions_match_full_matrix():
-    params = ModelParams(nu=2.0, alpha=0.0)
-    basis = hamilton_basis(params.alpha)
-    flow = kappa(0.8, params)
-    plus = basis.T_plus.conj().T @ flow.matrix @ basis.T_plus
-    minus = basis.T_minus.conj().T @ flow.matrix @ basis.T_minus
-    assert np.max(np.abs(flow.plus_block - plus)) < 1e-14
-    assert np.max(np.abs(flow.minus_block - minus)) < 1e-14
-
-
 @pytest.mark.parametrize("alpha", ALPHAS)
 def test_bracket_relations_close(alpha):
     residual = commutator_check(ModelParams(nu=3.0, alpha=alpha))
