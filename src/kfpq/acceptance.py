@@ -151,8 +151,7 @@ def criterion_4(seed: int = 0) -> CriterionResult:
                 d0 = delta0(float(t), params)
                 for sign in (1, -1):
                     rep = positivity_report(float(t), d0, params, sign)
-                    scale = 1.0 + float(np.max(np.abs(rep.coeffs))) ** 2
-                    worst_det = max(worst_det, abs(rep.det_value) / scale)
+                    worst_det = max(worst_det, rep.det_residual)
                     for frac in (0.0, 0.5):
                         inner = positivity_report(float(t), frac * d0,
                                                   params, sign)

@@ -1,7 +1,7 @@
 """Hermite tensor-product discretization used as the independent oracle.
 
 Everything here is deliberately different from the closed-form modules: the
-generator and the weight operators are assembled as sums of Kronecker
+generator and the weight operators are assembled as sparse sums of Kronecker
 products of one-variable ladder matrices in the Hermite basis of L^2(R^2)
 (see ``build``), exponentiated on the blocks the generator conserves, and
 measured through their largest singular values: power iteration on the
@@ -102,10 +102,14 @@ CURVE_QUANTITIES = (
     "degenerate_fiber",
 )
 
+_POWER_TOL = 1e-10   # relative change at which power iteration stops
+_MAX_ITER = 20000    # power iterations before PowerIterationStalled
+_DRIFT_TOL = 0.01    # largest relative drift between the two truncations
+
 
 @dataclass(frozen=True, eq=False)
 class HermiteOperator:
-    """Dense matrix of one model operator on the truncated Hermite basis.
+    """CSR matrix of one model operator on the truncated Hermite basis.
 
     The flattened index is m * dim_p + n with m the q-level and n the
     p-level.  A conserved-level block of K keeps the dims of its assembly
@@ -114,7 +118,7 @@ class HermiteOperator:
 
     dim_q: int
     dim_p: int
-    matrix: np.ndarray
+    matrix: scipy.sparse.csr_array
     label: str
 
 
@@ -178,7 +182,7 @@ def _kron_terms(label: str, params: ModelParams, dim_q: int, dim_p: int):
 
 
 def build(label: str, params: ModelParams, dim_q: int, dim_p: int) -> HermiteOperator:
-    """Assemble one operator matrix as a sum of Kronecker products.
+    """Assemble one operator as a CSR sum of Kronecker products.
 
     Supported labels: O_p, O_q (oscillators), X (transport at unit
     curvature scale, multiplied by sqrt(nu) inside K), Y (commutator partner
@@ -189,25 +193,23 @@ def build(label: str, params: ModelParams, dim_q: int, dim_p: int) -> HermiteOpe
     weight_q (the diagonal square root of nu O_q).
 
     Each operator is a short table of (q-factor, p-factor, coefficient)
-    terms on the one-variable ladder matrices, summed as
+    terms on the one-variable ladder matrices, summed as sparse
     ``coefficient * kron(q_factor, p_factor)``; attracting transport, for
-    one, is ``kron(d_q, p) - kron(q, d_p)``.  No product of two full-size
-    matrices is formed.  Every q-factor is diagonal or tridiagonal, so each
-    Kronecker product is added block by block over the nonzero entries of
-    its q-factor; the entries are the ones ``np.kron`` would give.
+    one, is ``kron(d_q, p) - kron(q, d_p)``.  The entries are the ones
+    ``np.kron`` would give.  Zero coefficients and cancelling terms leave
+    explicit zeros, which are dropped: ``_conserved_blocks`` reads the stored
+    pattern as the coupling graph.
     """
     if dim_q < 2 or dim_p < 2:
         raise ValueError("need at least two Hermite levels per variable")
     if label not in OPERATOR_LABELS:
         raise UnknownLabel("no operator labelled %r" % (label,))
-    # (q-level row, p-level row, q-level column, p-level column)
-    mat = np.zeros((dim_q, dim_p, dim_q, dim_p))
-    for q_factor, p_factor, coefficient in _kron_terms(label, params, dim_q, dim_p):
-        for i, j in zip(*np.nonzero(q_factor)):
-            mat[i, :, j, :] += coefficient * (q_factor[i, j] * p_factor)
-    return HermiteOperator(dim_q=dim_q, dim_p=dim_p,
-                           matrix=mat.reshape(dim_q * dim_p, dim_q * dim_p),
-                           label=label)
+    matrix = sum(coefficient * scipy.sparse.kron(
+                     scipy.sparse.csr_array(q_factor), p_factor, format="csr")
+                 for q_factor, p_factor, coefficient
+                 in _kron_terms(label, params, dim_q, dim_p))
+    matrix.eliminate_zeros()
+    return HermiteOperator(dim_q, dim_p, matrix, label)
 
 
 def corner_mode_vector(dim_q: int, dim_p: int) -> np.ndarray:
@@ -225,18 +227,17 @@ def corner_mode_vector(dim_q: int, dim_p: int) -> np.ndarray:
 
 
 def semigroup_matrix(op: HermiteOperator, t: float) -> np.ndarray:
-    """e^{-t M} by scaling-and-squaring; raises if non-finite."""
+    """Dense e^{-t M} of a conserved-level block M; raises if non-finite."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    result = scipy.linalg.expm(-t * op.matrix)
+    result = scipy.linalg.expm(-t * op.matrix.toarray())
     if not np.all(np.isfinite(result)):
         raise ExpNotConverged("exponential of %s at t=%g overflowed"
                               % (op.label, t))
     return result
 
 
-def operator_norm(m: np.ndarray, tol: float = 1e-10,
-                  max_iter: int = 20000) -> float:
+def operator_norm(m: np.ndarray) -> float:
     """Largest singular value by power iteration on m* m.
 
     The start vector is deterministic (flat with a bumped first entry) so
@@ -248,17 +249,17 @@ def operator_norm(m: np.ndarray, tol: float = 1e-10,
     v /= np.linalg.norm(v)
     mh = m.conj().T
     s_old = 0.0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         w = mh @ (m @ v)
         nw = np.linalg.norm(w)
         if nw == 0.0:
             return 0.0
         s = float(np.sqrt(nw))
         v = w / nw
-        if abs(s - s_old) <= tol * max(1.0, s):
+        if abs(s - s_old) <= _POWER_TOL * max(1.0, s):
             return s
         s_old = s
-    raise PowerIterationStalled("no convergence in %d iterations" % max_iter)
+    raise PowerIterationStalled("no convergence in %d iterations" % _MAX_ITER)
 
 
 # ---------------------------------------------------------------------------
@@ -316,11 +317,6 @@ def _parity_sectors(dim_q: int, dim_p: int) -> tuple:
     return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
 
 
-def _exact_zero(block: np.ndarray, what: str) -> None:
-    if np.any(block):
-        raise ParityNotConserved("%s couples the two parity sectors" % what)
-
-
 def _conserved_blocks(gen: HermiteOperator) -> tuple:
     """Connected components of the nonzero pattern of ``gen``, grouped by
     the parity of m + n: (even blocks, odd blocks), each a list of
@@ -328,10 +324,8 @@ def _conserved_blocks(gen: HermiteOperator) -> tuple:
 
     Raises ParityNotConserved if a component holds both parities.
     """
-    # the CSR pattern holds exactly the nonzeros, and converts to a graph
-    # faster than a dense boolean mask
-    count, labels = connected_components(scipy.sparse.csr_array(gen.matrix),
-                                         directed=True, connection="weak")
+    count, labels = connected_components(gen.matrix, directed=True,
+                                         connection="weak")
     blocks = ([], [])
     for label in range(count):
         states = np.flatnonzero(labels == label)
@@ -398,11 +392,10 @@ def _weighted_norm_values(quantity: str, params: ModelParams,
     values = [0.0] * len(ts)
     for parity, idx in enumerate(sectors):
         if weight is not None:
-            _exact_zero(weight[np.ix_(sectors[parity ^ flip ^ 1], idx)],
-                        "the %s weight" % quantity)
-            # at most two nonzeros per row
-            w_block = scipy.sparse.csr_array(
-                weight[np.ix_(sectors[parity ^ flip], idx)])
+            if weight[np.ix_(sectors[parity ^ flip ^ 1], idx)].count_nonzero():
+                raise ParityNotConserved("the %s weight couples the two parity "
+                                         "sectors" % quantity)
+            w_block = weight[np.ix_(sectors[parity ^ flip], idx)]
         deflate = np.flatnonzero(corner[idx])
         exps = _sector_exponentials(gen, idx, blocks[parity], ts)
         for k, (t, et) in enumerate(zip(ts, exps)):
@@ -457,7 +450,7 @@ def _fiber_matrix_sup(t: float, lambda1: float, dim: int,
 
 
 def _degenerate_curve(params: ModelParams, ts: Sequence[float],
-                      drift_tol: float, strict: bool) -> DecayCurve:
+                      strict: bool) -> DecayCurve:
     lam = params.lambda1
     # the |xi| profile peaks at xi^2 = -1/(2u); keep the peak well inside
     xi_peak = np.sqrt(-0.5 / fiber_exponent(min(ts)))
@@ -470,7 +463,7 @@ def _degenerate_curve(params: ModelParams, ts: Sequence[float],
         oracle = _fiber_matrix_sup(t, lam, 28, xi_grid)
         check = _fiber_matrix_sup(t, lam, 20, xi_grid)
         drift = abs(oracle / check - 1.0) if check else 0.0
-        converged = drift <= drift_tol
+        converged = drift <= _DRIFT_TOL
         if not converged:
             failed.append(t)
         u = fiber_exponent(t)
@@ -484,8 +477,8 @@ def _degenerate_curve(params: ModelParams, ts: Sequence[float],
         drifts.append(float(drift))
     if failed and strict:
         raise TruncationNotConverged(
-            "fiber truncation drift above %g at t=%s" % (drift_tol, failed))
-    meta = ConvergenceMeta(levels=(28, 20), drift_tol=drift_tol,
+            "fiber truncation drift above %g at t=%s" % (_DRIFT_TOL, failed))
+    meta = ConvergenceMeta(levels=(28, 20), drift_tol=_DRIFT_TOL,
                            drifts=tuple(drifts))
     return DecayCurve(quantity_label="degenerate_fiber", samples=tuple(samples),
                       convergence_meta=meta)
@@ -493,31 +486,29 @@ def _degenerate_curve(params: ModelParams, ts: Sequence[float],
 
 def decay_curve(quantity_label: str, params: ModelParams,
                 t_grid: Sequence[float], dims: int = 64,
-                drift_tol: float = 0.01, strict: bool = True) -> DecayCurve:
+                strict: bool = True) -> DecayCurve:
     """Oracle decay curve with per-sample two-level convergence flags.
 
     Each sample pairs the Galerkin value e^{-t shift} ||W e^{-t K}|| with the
     closed-form value (when one exists) and the analytic bound from the
     other modules.  The whole grid is recomputed at three quarters of the
-    requested truncation; a relative change above ``drift_tol`` marks the
-    sample unconverged and, when ``strict``, raises TruncationNotConverged.
+    requested truncation; a relative change above ``_DRIFT_TOL`` (1%) marks
+    the sample unconverged and, when ``strict``, raises TruncationNotConverged.
     Flagged samples are still reported, never dropped.
 
-    The matrix curves work on the blocks of K.  The attracting K conserves
-    m + n and the repelling K conserves m - n, so K is block diagonal with
-    2 dims - 1 blocks (the connected components of its nonzero pattern) of
-    at most dims states each.  Each block is exponentiated, and squared
-    along the grid, on its own; the results are written into the dense
-    exponential of the parity sector of m + n that holds the block.  If a
-    block holds both parities, ParityNotConserved is raised.  The weight
-    W = 1 (evolution_norm) or weight_q keeps the parity; D_q, grad_V and
-    a_q^* flip it, so W is applied, as a sparse matrix, as its block from
-    one sector to the other.  Either way W e^{-t K} maps each sector onto
-    one sector, and its norm is the larger of the two sector-block norms.
-    The repelling corner mode, index (dims-1) * dims, is a block of its own
-    (m - n = dims - 1 has one state), so deflating it changes one diagonal
-    entry of its sector.  If the weight block left out is not exactly zero,
-    ParityNotConserved is raised instead of dropping that block.
+    The matrix curves work on the 2 dims - 1 conserved-level blocks of K
+    (see the module docstring), the connected components of its stored
+    pattern; a block holding both parities raises ParityNotConserved.  Each
+    block is exponentiated densely, and squared along the grid, on its own,
+    and written into the exponential of the parity sector of m + n that
+    holds it.  The weight W = 1 (evolution_norm) or weight_q keeps the
+    parity; D_q, grad_V and a_q^* flip it, so W is applied as its sparse
+    block from one sector to the other, and ParityNotConserved is raised if
+    the block left out is not zero.  Either way W e^{-t K} maps each sector
+    onto one sector, and its norm is the larger of the two sector-block
+    norms.  The repelling corner mode, index (dims-1) * dims, is a block of
+    its own (m - n = dims - 1 has one state), so deflating it changes one
+    diagonal entry of its sector.
     """
     if quantity_label not in CURVE_QUANTITIES:
         raise UnknownLabel("no curve quantity %r" % (quantity_label,))
@@ -525,7 +516,7 @@ def decay_curve(quantity_label: str, params: ModelParams,
     if not ts or ts[0] <= 0:
         raise ValueError("t grid must be positive")
     if quantity_label == "degenerate_fiber":
-        return _degenerate_curve(params, ts, drift_tol, strict)
+        return _degenerate_curve(params, ts, strict)
     low = max(8, (3 * dims) // 4)
     main_vals = _weighted_norm_values(quantity_label, params, ts, dims)
     check_vals = _weighted_norm_values(quantity_label, params, ts, low)
@@ -534,7 +525,7 @@ def decay_curve(quantity_label: str, params: ModelParams,
     failed = []
     for t, val, ref in zip(ts, main_vals, check_vals):
         drift = abs(val / ref - 1.0) if ref != 0.0 else (0.0 if val == 0.0 else np.inf)
-        converged = drift <= drift_tol
+        converged = drift <= _DRIFT_TOL
         if not converged:
             failed.append(t)
         samples.append(CurveSample(t=float(t),
@@ -547,8 +538,8 @@ def decay_curve(quantity_label: str, params: ModelParams,
     if failed and strict:
         raise TruncationNotConverged(
             "truncation drift above %g at t=%s (dims %d vs %d)"
-            % (drift_tol, failed, dims, low))
-    meta = ConvergenceMeta(levels=(dims, low), drift_tol=drift_tol,
+            % (_DRIFT_TOL, failed, dims, low))
+    meta = ConvergenceMeta(levels=(dims, low), drift_tol=_DRIFT_TOL,
                            drifts=tuple(drifts))
     return DecayCurve(quantity_label=quantity_label, samples=tuple(samples),
                       convergence_meta=meta)
@@ -584,9 +575,9 @@ def subelliptic_constant(params: ModelParams, dims: int = 16) -> float:
     qq, dq1, _ = _ops_1d(big)
     eye_p = np.eye(big)
 
-    gen = build("K", params, big, big).matrix
-    osc_p = build("O_p", params, big, big).matrix
-    transport = np.sqrt(params.nu) * build("X", params, big, big).matrix
+    gen, osc_p, x = (build(label, params, big, big).matrix.toarray()
+                     for label in ("K", "O_p", "X"))
+    transport = np.sqrt(params.nu) * x
     big_a = _potential_constants(params).a
 
     grad_sq = _bracket_weight(qq, params.nu)      # <grad V>^{4/3} on the q factor

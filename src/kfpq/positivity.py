@@ -35,6 +35,7 @@ from kfpq.symbols import ModelParams, _flow_factors, hamilton_basis
 
 __all__ = [
     "NonRealDelta0",
+    "NonFiniteDeterminant",
     "PositivityReport",
     "Delta0Curve",
     "delta0_curve",
@@ -49,7 +50,11 @@ __all__ = [
 
 
 class NonRealDelta0(ArithmeticError):
-    """The closed threshold came out with a non-negligible imaginary part."""
+    """The closed threshold came out non-finite or not real."""
+
+
+class NonFiniteDeterminant(ArithmeticError):
+    """The determinant of the form difference, or its scale, overflowed."""
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,7 @@ class PositivityReport:
     w = e^{sign*t} (position form - evolved form) = a + b I + c J + d K.
     det_value is its norm form a^2 + b^2 + c^2 + d^2, the determinant of
     its 2x2 compression, which vanishes at delta = delta0(t).
+    det_residual is |det_value| / (1 + max|coeff|^2).
     min_eigenvalue is the smallest eigenvalue of the Hermitian part of that
     compression, Re a - |(Im b, Im c, Im d)|.
     """
@@ -68,6 +74,7 @@ class PositivityReport:
     delta: float
     coeffs: np.ndarray
     det_value: complex
+    det_residual: float
     min_eigenvalue: float
     is_positive: bool
 
@@ -129,11 +136,17 @@ def positivity_report(t: float, delta: float, params: ModelParams,
     s = _check_sign(sign)
     w = (position_flow_form(delta, params, s)
          - evolved_flow_form(t, params, s)) * np.exp(s * t)
+    coeffs = np.array([w.a, w.b, w.c, w.d])
+    det = w.norm()
+    with np.errstate(over="ignore"):
+        scale = 1.0 + np.max(np.abs(coeffs)) ** 2
+    if not (np.isfinite(det) and np.isfinite(scale)):
+        raise NonFiniteDeterminant("determinant %r, scale %g at t=%g, delta=%g"
+                                   % (det, scale, t, delta))
     min_eig = w.a.real - math.hypot(w.b.imag, w.c.imag, w.d.imag)
-    return PositivityReport(t=float(t), delta=float(delta),
-                            coeffs=np.array([w.a, w.b, w.c, w.d]),
-                            det_value=w.norm(), min_eigenvalue=min_eig,
-                            is_positive=bool(min_eig > 0.0))
+    return PositivityReport(t=float(t), delta=float(delta), coeffs=coeffs,
+                            det_value=det, det_residual=float(abs(det) / scale),
+                            min_eigenvalue=min_eig, is_positive=min_eig > 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +188,8 @@ def delta0(t: float, params: ModelParams, imag_tol: float = 1e-10) -> float:
     with the series bracket keeps the small-t cubic regime
     delta0 ~ nu t^3 / 12 accurate for curvatures up to at least 1e4.
 
-    Raises NonRealDelta0 if the imaginary part of the closed expression
-    exceeds imag_tol relative to the real part.
+    Raises NonRealDelta0 if the closed expression is not finite or if its
+    imaginary part exceeds imag_tol relative to the real part.
     """
     if t <= 0:
         raise ValueError("the threshold is defined for t > 0")
@@ -185,6 +198,8 @@ def delta0(t: float, params: ModelParams, imag_tol: float = 1e-10) -> float:
     a = _bracket(t, n1sq)
     x = 2 * c * s + np.sinh(t)
     val = np.exp(-2j * params.alpha) / 2 * np.log1p(2 * a / (x - a))
+    if not np.isfinite(val):
+        raise NonRealDelta0("threshold is %r at t=%g" % (complex(val), t))
     scale = max(1.0, abs(val.real))
     if abs(val.imag) > imag_tol * scale:
         raise NonRealDelta0(

@@ -129,6 +129,9 @@ class TestErrorExits:
         rc, _, err = run(capsys, [command, "--nu", nu, "--t", "3:3:1:lin"])
         assert rc == 3
         assert "numerical failure" in err
+        # the message names the quantity that overflowed
+        assert "NonFiniteDeterminant" in err or "NonRealDelta0" in err
+        assert "t=3" in err
 
     def test_config_error_importable(self):
         assert issubclass(ConfigError, ValueError)

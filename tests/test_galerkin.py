@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
 from kfpq import galerkin
 from kfpq.galerkin import (
@@ -73,14 +74,24 @@ class TestAssembly:
     def test_kronecker_table_matches_dense_products(self, label, alpha,
                                                     dim_q, dim_p):
         params = ModelParams(2.7, alpha, 0.6)
-        got = build(label, params, dim_q, dim_p).matrix
+        got = build(label, params, dim_q, dim_p).matrix.toarray()
         assert np.array_equal(got, _dense_product_reference(label, params,
                                                             dim_q, dim_p))
 
+    @pytest.mark.parametrize("label", OPERATOR_LABELS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("nu", [0.0, 2.7])
+    def test_matrix_is_csr_without_stored_zeros(self, label, alpha, nu):
+        # the stored pattern is the coupling graph of the conserved blocks,
+        # so zero coefficients and cancellations must leave no entry behind
+        m = build(label, ModelParams(nu, alpha, 0.6), 9, 7).matrix
+        assert isinstance(m, scipy.sparse.csr_array)
+        assert m.nnz == m.count_nonzero()
+
     def test_ladder_adjoint_pair(self):
         a = ladder(12)
-        q = build("a_q", ModelParams(1.0), 12, 4).matrix
-        qs = build("a_q_star", ModelParams(1.0), 12, 4).matrix
+        q = build("a_q", ModelParams(1.0), 12, 4).matrix.toarray()
+        qs = build("a_q_star", ModelParams(1.0), 12, 4).matrix.toarray()
         assert np.max(np.abs(q - np.kron(a, np.eye(4)))) == 0.0
         assert np.max(np.abs(qs - q.T)) <= 1e-13
 
@@ -93,14 +104,14 @@ class TestAssembly:
         assert comm[15, 15] == pytest.approx(-15.0)
 
     def test_oscillator_is_diagonal(self):
-        op = build("O_p", ModelParams(1.0), 5, 7).matrix
+        op = build("O_p", ModelParams(1.0), 5, 7).matrix.toarray()
         assert np.max(np.abs(op - np.diag(np.diag(op)))) == 0.0
         expected = np.tile(np.arange(7) + 0.5, 5)
         assert np.max(np.abs(np.diag(op) - expected)) == 0.0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_transport_real_antisymmetric(self, alpha):
-        x = build("X", ModelParams(2.0, alpha), 12, 12).matrix
+        x = build("X", ModelParams(2.0, alpha), 12, 12).matrix.toarray()
         assert np.max(np.abs(x.imag)) if np.iscomplexobj(x) else True
         assert np.max(np.abs(x + x.T)) <= 1e-13
 
@@ -108,9 +119,9 @@ class TestAssembly:
     def test_commutator_partner_interior(self, alpha):
         # [O_p, X] = Y exactly on states whose ladder images survive
         params = ModelParams(2.0, alpha)
-        x = build("X", params, 14, 14).matrix
-        y = build("Y", params, 14, 14).matrix
-        op = build("O_p", params, 14, 14).matrix
+        x = build("X", params, 14, 14).matrix.toarray()
+        y = build("Y", params, 14, 14).matrix.toarray()
+        op = build("O_p", params, 14, 14).matrix.toarray()
         comm = op @ x - x @ op
         idx = interior_indices(14, 14, 2)
         block = np.ix_(idx, idx)
@@ -127,12 +138,12 @@ class TestAssembly:
     def test_corner_mode_is_exact_repelling_eigenvector(self):
         # truncation removes the raising half of the transport on this
         # state, so the repelling generator fixes it with eigenvalue 1/2
-        k = build("K", ModelParams(4.0, 0.0), 10, 12).matrix
+        k = build("K", ModelParams(4.0, 0.0), 10, 12).matrix.toarray()
         v = corner_mode_vector(10, 12)
         assert np.linalg.norm(v) == 1.0
         assert np.max(np.abs(k @ v - 0.5 * v)) == 0.0
         # the attracting generator does not share the mode
-        ka = build("K", ModelParams(4.0, np.pi / 2), 10, 12).matrix
+        ka = build("K", ModelParams(4.0, np.pi / 2), 10, 12).matrix.toarray()
         assert np.max(np.abs(ka @ v - 0.5 * v)) > 1.0
 
 
@@ -176,7 +187,7 @@ MATRIX_CURVES = ("evolution_norm", "derivative_weight", "gradient_weight",
 class TestParitySectors:
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_generator_cross_blocks_are_exactly_zero(self, alpha):
-        k = build("K", ModelParams(2.7, alpha), 12, 12).matrix
+        k = build("K", ModelParams(2.7, alpha), 12, 12).matrix.toarray()
         even, odd = galerkin._parity_sectors(12, 12)
         assert len(even) + len(odd) == 144
         assert not np.any(k[np.ix_(even, odd)])
@@ -209,7 +220,7 @@ class TestParitySectors:
         blocks = galerkin._conserved_blocks(gen)
         ts = (0.5, 1.0, 2.0)
         for parity, idx in enumerate(galerkin._parity_sectors(12, 12)):
-            sector = gen.matrix[np.ix_(idx, idx)]
+            sector = gen.matrix.toarray()[np.ix_(idx, idx)]
             assembled = galerkin._sector_exponentials(gen, idx, blocks[parity],
                                                       ts)
             for t, et in zip(ts, assembled):
@@ -225,18 +236,18 @@ class TestParitySectors:
                                           monkeypatch):
         params = ModelParams(2.0, alpha)
         ts = (0.5, 1.0, 2.0)
-        k = build("K", params, dim, dim).matrix
+        def dense(label):
+            return build(label, params, dim, dim).matrix.toarray()
+
+        k = dense("K")
         root_nu = np.sqrt(params.nu)
         root_a = np.sqrt(galerkin._potential_constants(params).a)
         weight, shift = {
             "evolution_norm": (np.eye(dim * dim), 0.0),
-            "derivative_weight": (root_nu * build("D_q", params, dim, dim).matrix,
-                                  root_a),
-            "gradient_weight": (build("grad_V", params, dim, dim).matrix, root_a),
-            "position_weight": (build("weight_q", params, dim, dim).matrix,
-                                root_nu),
-            "creation_weight": (root_nu * build("a_q_star", params, dim,
-                                                dim).matrix,
+            "derivative_weight": (root_nu * dense("D_q"), root_a),
+            "gradient_weight": (dense("grad_V"), root_a),
+            "position_weight": (dense("weight_q"), root_nu),
+            "creation_weight": (root_nu * dense("a_q_star"),
                                 params.nu ** (1.0 / 3.0)),
         }[quantity]
         v = corner_mode_vector(dim, dim)
@@ -269,6 +280,24 @@ class TestParitySectors:
         with pytest.raises(ParityNotConserved):
             galerkin._weighted_norm_values("evolution_norm",
                                            ModelParams(1.0, np.pi / 2, 1.0),
+                                           (1.0,), 8)
+
+    def test_parity_keeping_weight_on_flipping_quantity_raises(self,
+                                                               monkeypatch):
+        # derivative_weight expects D_q, which flips the parity of m + n;
+        # weight_q keeps it, so the weight block the split leaves out is
+        # not zero
+        real_build = galerkin.build
+
+        def weight_as_derivative(label, params, dim_q, dim_p):
+            if label == "D_q":
+                label = "weight_q"
+            return real_build(label, params, dim_q, dim_p)
+
+        monkeypatch.setattr(galerkin, "build", weight_as_derivative)
+        with pytest.raises(ParityNotConserved):
+            galerkin._weighted_norm_values("derivative_weight",
+                                           ModelParams(1.0, np.pi / 2),
                                            (1.0,), 8)
 
 

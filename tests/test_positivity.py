@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from kfpq.positivity import (Delta0Curve, delta0, delta0_curve,
-                             delta0_lower_bound_check, hermitian_difference,
-                             position_weight_decay_bound, positivity_report)
+from kfpq.positivity import (Delta0Curve, NonFiniteDeterminant, NonRealDelta0,
+                             delta0, delta0_curve, delta0_lower_bound_check,
+                             hermitian_difference, position_weight_decay_bound,
+                             positivity_report)
 from kfpq.symbols import ModelParams, hamilton_basis, kappa, kappa0
 
 ALPHAS = (0.0, np.pi / 2)
@@ -45,6 +46,24 @@ def test_determinant_vanishes_at_threshold(alpha, sign):
             rep = positivity_report(t, d0, params, sign)
             scale = 1.0 + float(np.max(np.abs(rep.coeffs))) ** 2
             assert abs(rep.det_value) / scale < 1e-12
+            assert rep.det_residual == abs(rep.det_value) / scale
+
+
+def test_report_overflow_names_t_and_delta():
+    # at nu = 5000, t = 3 the coefficients are near 1e182, so their squares
+    # and the determinant overflow
+    params = ModelParams(nu=5000.0, alpha=0.0)
+    d0 = delta0(3.0, params)
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteDeterminant, match="t=3, delta="):
+            positivity_report(3.0, d0, params, 1)
+
+
+def test_non_finite_threshold_raises():
+    # at nu = 1e6, t = 3 the closed form's x - a is inf - inf
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonRealDelta0, match="t=3"):
+            delta0(3.0, ModelParams(nu=1e6, alpha=0.0))
 
 
 @pytest.mark.parametrize("sign", [1, -1])
