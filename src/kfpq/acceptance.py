@@ -320,7 +320,8 @@ def criterion_9(seed: int = 0) -> CriterionResult:
 def criterion_10(seed: int = 0) -> CriterionResult:
     """Galerkin decay curves and the subelliptic pencil."""
     start = time.perf_counter()
-    required_converged = {1.0: (1.0, 2.0), -1.0: (), 4.0: (0.5, 1.0, 2.0)}
+    required_converged = {1.0: (1.0, 2.0), -1.0: (1.0, 2.0),
+                          4.0: (0.5, 1.0, 2.0)}
     curves_ok = True
     flags_ok = True
     for signed_nu, required in required_converged.items():

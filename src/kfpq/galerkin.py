@@ -3,24 +3,25 @@
 Everything here is deliberately different from the closed-form modules: the
 generator and the weight operators are assembled as sparse sums of Kronecker
 products of one-variable ladder matrices in the Hermite basis of L^2(R^2)
-(see ``build``), exponentiated on the blocks the generator conserves, and
+(see ``build``), exponentiated on the levels the generator conserves, and
 measured through their largest singular values: power iteration on the
 parity sectors, an SVD of each small degenerate fiber.  Agreement between
 these numbers and the closed forms is the main cross-check of the package.
 
 The generator K conserves a Hermite level: attracting transport
-a_q a_p^* - a_q^* a_p keeps m + n, repelling transport a_q a_p - a_q^* a_p^*
-keeps m - n, and O_p is diagonal.  K is therefore block diagonal with
-dim_q + dim_p - 1 blocks of at most min(dim_q, dim_p) states, each of one
-parity of m + n.  A decay curve exponentiates every block on its own and
-power-iterates the even and the odd sector separately (see
-``decay_curve``).
+a_q a_p^* - a_q^* a_p keeps L = m + n, repelling transport
+a_q a_p - a_q^* a_p^* keeps L = m - n, and O_p is diagonal.  Each level
+holds one parity of m + n.  A decay curve therefore truncates by level, not
+by the (m, n) box.  Attracting levels are finite chains of L + 1 states;
+keeping the levels L <= dims - 1 whole makes W e^{-t K} an exact
+compression of the untruncated operator.  Repelling levels are infinite
+chains; the levels |L| <= dims - 1 are kept, each cut at dims // 2 states.
+Every level is exponentiated on its own, and the even and the odd sector
+are power-iterated separately (see ``decay_curve``).
 
 Truncation is the dominant error source.  Algebraic identities are therefore
 asserted only on interior blocks (indices whose ladder images stay below the
-truncation level), every curve carries a two-level convergence check, and
-the repelling model's exact spurious corner mode (see
-``corner_mode_vector``) is deflated before norms are taken.
+truncation level), and every curve carries a two-level convergence check.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse
-from scipy.sparse.csgraph import connected_components
 
 from .bargmann import remainder_bound
 from .degenerate import fiber_exponent, sup_weighted
@@ -55,7 +55,6 @@ __all__ = [
     "ladder",
     "build",
     "interior_indices",
-    "corner_mode_vector",
     "semigroup_matrix",
     "operator_norm",
     "decay_curve",
@@ -84,8 +83,10 @@ class IndefinitePencil(np.linalg.LinAlgError):
 
 
 class ParityNotConserved(ArithmeticError):
-    """A block of K mixes the parities of m + n, or a weight block that the
-    parity split of a decay curve leaves out is not zero."""
+    """K couples two of the conserved levels a decay curve keeps (attracting:
+    m + n <= dims - 1; repelling: |m - n| <= dims - 1, each cut at dims // 2
+    states), or the weight maps the even and the odd sector onto a common
+    row."""
 
 
 OPERATOR_LABELS = (
@@ -113,7 +114,10 @@ class HermiteOperator:
 
     The flattened index is m * dim_p + n with m the q-level and n the
     p-level.  A conserved-level block of K keeps the dims of its assembly
-    and holds only the states of that level, in flattened order.
+    and holds only the states of that level, in flattened order.  A decay
+    curve at ``dims`` assembles its box at dims + 1 (attracting, which holds
+    the levels m + n <= dims - 1) or dims + dims // 2 (repelling, which
+    holds the levels |m - n| <= dims - 1 cut at dims // 2 states each).
     """
 
     dim_q: int
@@ -197,8 +201,8 @@ def build(label: str, params: ModelParams, dim_q: int, dim_p: int) -> HermiteOpe
     ``coefficient * kron(q_factor, p_factor)``; attracting transport, for
     one, is ``kron(d_q, p) - kron(q, d_p)``.  The entries are the ones
     ``np.kron`` would give.  Zero coefficients and cancelling terms leave
-    explicit zeros, which are dropped: ``_conserved_blocks`` reads the stored
-    pattern as the coupling graph.
+    explicit zeros, which are dropped: the decay curves read the stored
+    pattern of K to check that it couples no two kept levels.
     """
     if dim_q < 2 or dim_p < 2:
         raise ValueError("need at least two Hermite levels per variable")
@@ -210,20 +214,6 @@ def build(label: str, params: ModelParams, dim_q: int, dim_p: int) -> HermiteOpe
                  in _kron_terms(label, params, dim_q, dim_p))
     matrix.eliminate_zeros()
     return HermiteOperator(dim_q, dim_p, matrix, label)
-
-
-def corner_mode_vector(dim_q: int, dim_p: int) -> np.ndarray:
-    """Unit vector of the truncated repelling generator's spurious mode.
-
-    Truncation deletes the raising part of the transport term on the state
-    with top q-level and bottom p-level, leaving an exact eigenvector with
-    eigenvalue 1/2 that the continuous operator does not have.  Subtracting
-    e^{-t/2} times its projector from the exponential removes the dominant
-    truncation artifact of every alpha = 0 norm.
-    """
-    v = np.zeros(dim_q * dim_p)
-    v[(dim_q - 1) * dim_p] = 1.0
-    return v
 
 
 def semigroup_matrix(op: HermiteOperator, t: float) -> np.ndarray:
@@ -278,7 +268,13 @@ class CurveSample:
 
 @dataclass(frozen=True)
 class ConvergenceMeta:
-    """Two-level refinement data backing the per-sample flags."""
+    """Two-level refinement data backing the per-sample flags.
+
+    ``levels`` are the two truncations compared.  For a matrix curve they
+    are ``dims``: the levels m + n <= dims - 1 whole (attracting) or the
+    levels |m - n| <= dims - 1 cut at dims // 2 states (repelling).  For
+    the degenerate fiber they are the fiber sizes.
+    """
 
     levels: tuple
     drift_tol: float
@@ -311,30 +307,28 @@ def _chained_exponentials(op: HermiteOperator, ts: Sequence[float]) -> dict:
     return cache
 
 
-def _parity_sectors(dim_q: int, dim_p: int) -> tuple:
-    """Flattened indices of the even and the odd total level m + n."""
-    parity = np.add.outer(np.arange(dim_q), np.arange(dim_p)).ravel() % 2
-    return np.flatnonzero(parity == 0), np.flatnonzero(parity == 1)
+def _conserved_levels(params: ModelParams, dims: int) -> tuple:
+    """Box size and the kept conserved levels of K, grouped by parity:
+    (size, (even levels, odd levels)), each level an array of flattened box
+    indices in increasing order.
 
-
-def _conserved_blocks(gen: HermiteOperator) -> tuple:
-    """Connected components of the nonzero pattern of ``gen``, grouped by
-    the parity of m + n: (even blocks, odd blocks), each a list of
-    flattened index arrays in increasing order.
-
-    Raises ParityNotConserved if a component holds both parities.
+    Attracting K keeps L = m + n; the levels L <= dims - 1 are kept whole.
+    Repelling K keeps L = m - n, whose chains are infinite; the levels
+    |L| <= dims - 1 are kept, each cut at dims // 2 states.  The box is the
+    smallest that holds every kept state and the q-level above it, which is
+    as far as a weight reaches.  L and m + n have the same parity.
     """
-    count, labels = connected_components(gen.matrix, directed=True,
-                                         connection="weak")
-    blocks = ([], [])
-    for label in range(count):
-        states = np.flatnonzero(labels == label)
-        parity = (states // gen.dim_p + states % gen.dim_p) % 2
-        if np.any(parity != parity[0]):
-            raise ParityNotConserved("a block of %s mixes the parities of m + n"
-                                     % gen.label)
-        blocks[parity[0]].append(states)
-    return blocks
+    if params.alpha > 0:
+        chain, size = dims, dims + 1
+    else:
+        chain, size = dims // 2, dims + dims // 2
+    m, n = np.divmod(np.arange(size * size), size)
+    level = m + n if params.alpha > 0 else m - n
+    kept = (np.abs(level) < dims) & (np.minimum(m, n) < chain)
+    levels = ([], [])
+    for value in np.unique(level[kept]):
+        levels[value % 2].append(np.flatnonzero(kept & (level == value)))
+    return size, levels
 
 
 def _sector_exponentials(gen: HermiteOperator, idx: np.ndarray,
@@ -342,8 +336,7 @@ def _sector_exponentials(gen: HermiteOperator, idx: np.ndarray,
     """Yield e^{-t K} on the sector ``idx`` for each t of the sorted grid
     ``ts``, assembled from the exponentials of the ``blocks`` it holds.
 
-    Each block is exponentiated and squared along the grid on its own; every
-    yielded matrix is a fresh array that the caller may change.
+    Each block is exponentiated and squared along the grid on its own.
     """
     where = [np.searchsorted(idx, states) for states in blocks]
     chains = [_chained_exponentials(
@@ -359,49 +352,51 @@ def _sector_exponentials(gen: HermiteOperator, idx: np.ndarray,
 
 
 def _weighted_norm_values(quantity: str, params: ModelParams,
-                          ts: Sequence[float], dim: int) -> list:
+                          ts: Sequence[float], dims: int) -> list:
     """Shifted oracle values e^{-t shift} ||W e^{-t K}|| at one truncation,
-    taken sector by sector from the blocks of K (see ``decay_curve``).
-
-    ``flip`` is 1 for a weight that changes the parity of m + n.
+    taken sector by sector from the kept levels of K (see ``decay_curve``).
     """
     root_nu = np.sqrt(params.nu)
-    gen = build("K", params, dim, dim)
+    size, levels = _conserved_levels(params, dims)
+    gen = build("K", params, size, size)
     if quantity == "evolution_norm":
-        weight, flip = None, 0
+        weight = scipy.sparse.eye_array(size * size, format="csr")
         shift = 0.0
     elif quantity == "derivative_weight":
-        weight, flip = root_nu * build("D_q", params, dim, dim).matrix, 1
+        weight = root_nu * build("D_q", params, size, size).matrix
         shift = np.sqrt(_potential_constants(params).a)
     elif quantity == "gradient_weight":
-        weight, flip = build("grad_V", params, dim, dim).matrix, 1
+        weight = build("grad_V", params, size, size).matrix
         shift = np.sqrt(_potential_constants(params).a)
     elif quantity == "position_weight":
-        weight, flip = build("weight_q", params, dim, dim).matrix, 0
+        weight = build("weight_q", params, size, size).matrix
         shift = root_nu
     elif quantity == "creation_weight":
-        weight, flip = root_nu * build("a_q_star", params, dim, dim).matrix, 1
+        weight = root_nu * build("a_q_star", params, size, size).matrix
         shift = params.nu ** (1.0 / 3.0)
     else:
         raise UnknownLabel("no matrix curve for %r" % (quantity,))
-    blocks = _conserved_blocks(gen)
-    sectors = _parity_sectors(dim, dim)
-    # the repelling corner mode is one basis state, so deflating its
-    # projector changes one diagonal entry of the sector that holds it
-    corner = corner_mode_vector(dim, dim) * (params.alpha == 0)
+    every = levels[0] + levels[1]
+    kept = np.concatenate(every)
+    owner = np.repeat(np.arange(len(every)), [len(states) for states in every])
+    coupling = gen.matrix[np.ix_(kept, kept)].tocoo()
+    if np.any(owner[coupling.row] != owner[coupling.col]):
+        raise ParityNotConserved("%s couples two kept levels" % gen.label)
     values = [0.0] * len(ts)
-    for parity, idx in enumerate(sectors):
-        if weight is not None:
-            if weight[np.ix_(sectors[parity ^ flip ^ 1], idx)].count_nonzero():
-                raise ParityNotConserved("the %s weight couples the two parity "
-                                         "sectors" % quantity)
-            w_block = weight[np.ix_(sectors[parity ^ flip], idx)]
-        deflate = np.flatnonzero(corner[idx])
-        exps = _sector_exponentials(gen, idx, blocks[parity], ts)
+    reached = np.zeros(0, dtype=int)
+    for blocks in levels:
+        idx = np.sort(np.concatenate(blocks))
+        w_block = weight[:, idx]
+        rows = np.flatnonzero(w_block.count_nonzero(axis=1))
+        if np.intersect1d(rows, reached).size:
+            raise ParityNotConserved("the %s weight couples the two parity "
+                                     "sectors" % quantity)
+        reached = rows
+        w_block = w_block[rows]
+        exps = _sector_exponentials(gen, idx, blocks, ts)
         for k, (t, et) in enumerate(zip(ts, exps)):
-            et[deflate, deflate] -= np.exp(-t / 2.0)
-            m = et if weight is None else w_block @ et
-            values[k] = max(values[k], operator_norm(m) * np.exp(-t * shift))
+            values[k] = max(values[k],
+                            operator_norm(w_block @ et) * np.exp(-t * shift))
     return values
 
 
@@ -496,19 +491,18 @@ def decay_curve(quantity_label: str, params: ModelParams,
     the sample unconverged and, when ``strict``, raises TruncationNotConverged.
     Flagged samples are still reported, never dropped.
 
-    The matrix curves work on the 2 dims - 1 conserved-level blocks of K
-    (see the module docstring), the connected components of its stored
-    pattern; a block holding both parities raises ParityNotConserved.  Each
-    block is exponentiated densely, and squared along the grid, on its own,
-    and written into the exponential of the parity sector of m + n that
-    holds it.  The weight W = 1 (evolution_norm) or weight_q keeps the
-    parity; D_q, grad_V and a_q^* flip it, so W is applied as its sparse
-    block from one sector to the other, and ParityNotConserved is raised if
-    the block left out is not zero.  Either way W e^{-t K} maps each sector
-    onto one sector, and its norm is the larger of the two sector-block
-    norms.  The repelling corner mode, index (dims-1) * dims, is a block of
-    its own (m - n = dims - 1 has one state), so deflating it changes one
-    diagonal entry of its sector.
+    The matrix curves keep whole conserved levels of K (see the module
+    docstring), read off the index map: L = m + n <= dims - 1 when
+    attracting, and |L| = |m - n| <= dims - 1, each level cut at dims // 2
+    states, when repelling.  K and W are sliced from one assembly at the
+    smallest box that holds every kept state and every state W reaches.
+    ParityNotConserved is raised if K couples two kept levels.  Each level
+    is exponentiated densely, and squared along the grid, on its own, and
+    written into the exponential of the parity sector of m + n that holds
+    it.  W is applied from the columns of each sector to the rows it
+    reaches; ParityNotConserved is raised if the two sectors reach a common
+    row.  So W e^{-t K} is block diagonal over the sectors, and its norm is
+    the larger of the two sector-block norms.
     """
     if quantity_label not in CURVE_QUANTITIES:
         raise UnknownLabel("no curve quantity %r" % (quantity_label,))

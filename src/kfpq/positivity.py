@@ -194,10 +194,12 @@ def delta0(t: float, params: ModelParams, imag_tol: float = 1e-10) -> float:
     if t <= 0:
         raise ValueError("the threshold is defined for t > 0")
     n1sq = params.n1sq
-    c, s = _flow_factors(t, n1sq)
-    a = _bracket(t, n1sq)
-    x = 2 * c * s + np.sinh(t)
-    val = np.exp(-2j * params.alpha) / 2 * np.log1p(2 * a / (x - a))
+    # an overflow leaves a non-finite value, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        c, s = _flow_factors(t, n1sq)
+        a = _bracket(t, n1sq)
+        x = 2 * c * s + np.sinh(t)
+        val = np.exp(-2j * params.alpha) / 2 * np.log1p(2 * a / (x - a))
     if not np.isfinite(val):
         raise NonRealDelta0("threshold is %r at t=%g" % (complex(val), t))
     scale = max(1.0, abs(val.real))

@@ -132,6 +132,7 @@ class TestErrorExits:
         # the message names the quantity that overflowed
         assert "NonFiniteDeterminant" in err or "NonRealDelta0" in err
         assert "t=3" in err
+        assert "RuntimeWarning" not in err
 
     def test_config_error_importable(self):
         assert issubclass(ConfigError, ValueError)

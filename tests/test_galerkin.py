@@ -12,7 +12,6 @@ from kfpq.galerkin import (
     TruncationNotConverged,
     UnknownLabel,
     build,
-    corner_mode_vector,
     decay_curve,
     interior_indices,
     ladder,
@@ -20,6 +19,7 @@ from kfpq.galerkin import (
     semigroup_matrix,
     subelliptic_constant,
 )
+from kfpq.exactnorms import semigroup_norm
 from kfpq.symbols import ModelParams
 
 ALPHAS = (0.0, np.pi / 2)
@@ -82,8 +82,9 @@ class TestAssembly:
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("nu", [0.0, 2.7])
     def test_matrix_is_csr_without_stored_zeros(self, label, alpha, nu):
-        # the stored pattern is the coupling graph of the conserved blocks,
-        # so zero coefficients and cancellations must leave no entry behind
+        # the decay curves read the stored pattern of K as the coupling of
+        # its levels, so zero coefficients and cancellations must leave no
+        # entry behind
         m = build(label, ModelParams(nu, alpha, 0.6), 9, 7).matrix
         assert isinstance(m, scipy.sparse.csr_array)
         assert m.nnz == m.count_nonzero()
@@ -135,17 +136,6 @@ class TestAssembly:
         with pytest.raises(ValueError):
             build("K", ModelParams(1.0), 1, 8)
 
-    def test_corner_mode_is_exact_repelling_eigenvector(self):
-        # truncation removes the raising half of the transport on this
-        # state, so the repelling generator fixes it with eigenvalue 1/2
-        k = build("K", ModelParams(4.0, 0.0), 10, 12).matrix.toarray()
-        v = corner_mode_vector(10, 12)
-        assert np.linalg.norm(v) == 1.0
-        assert np.max(np.abs(k @ v - 0.5 * v)) == 0.0
-        # the attracting generator does not share the mode
-        ka = build("K", ModelParams(4.0, np.pi / 2), 10, 12).matrix.toarray()
-        assert np.max(np.abs(ka @ v - 0.5 * v)) > 1.0
-
 
 class TestNormAndSemigroup:
     def test_operator_norm_matches_svd(self):
@@ -184,79 +174,89 @@ MATRIX_CURVES = ("evolution_norm", "derivative_weight", "gradient_weight",
                  "position_weight", "creation_weight")
 
 
+def _expected_levels(alpha, dims):
+    """Level value -> its (m, n) states: whole attracting chains m + n = L,
+    repelling chains m - n = L cut at dims // 2 states."""
+    if alpha > 0:
+        return {level: [(m, level - m) for m in range(level + 1)]
+                for level in range(dims)}
+    return {level: [(level + k, k) if level >= 0 else (k, k - level)
+                    for k in range(dims // 2)]
+            for level in range(1 - dims, dims)}
+
+
 class TestParitySectors:
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_generator_cross_blocks_are_exactly_zero(self, alpha):
-        k = build("K", ModelParams(2.7, alpha), 12, 12).matrix.toarray()
-        even, odd = galerkin._parity_sectors(12, 12)
-        assert len(even) + len(odd) == 144
-        assert not np.any(k[np.ix_(even, odd)])
-        assert not np.any(k[np.ix_(odd, even)])
+    @pytest.mark.parametrize("dims", [12, 11])
+    def test_kept_states_are_level_sets(self, alpha, dims):
+        size, levels = galerkin._conserved_levels(ModelParams(2.7, alpha),
+                                                  dims)
+        assert size == (dims + 1 if alpha > 0 else dims + dims // 2)
+        expected = _expected_levels(alpha, dims)
+        for parity, sector in enumerate(levels):
+            assert [list(states) for states in sector] == [
+                sorted(m * size + n for m, n in expected[level])
+                for level in sorted(expected) if level % 2 == parity]
+        # a weight raises the q-level by at most one; the box is the
+        # smallest that holds it
+        assert max(m for pairs in expected.values() for m, _ in pairs) + 1 \
+            == size - 1
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("nu", [1.0, 2.7])
-    @pytest.mark.parametrize("dim_q,dim_p", [(12, 12), (7, 11)])
-    def test_blocks_are_conserved_level_sets(self, alpha, nu, dim_q, dim_p):
-        gen = build("K", ModelParams(nu, alpha), dim_q, dim_p)
-        blocks = galerkin._conserved_blocks(gen)
-        m, n = np.divmod(np.arange(dim_q * dim_p), dim_p)
-        # attracting transport keeps m + n, repelling transport keeps m - n
-        level = m + n if alpha > 0 else m - n
-        expected = {tuple(np.flatnonzero(level == v)) for v in np.unique(level)}
-        got = [tuple(states) for sector in blocks for states in sector]
-        assert len(got) == dim_q + dim_p - 1
-        assert set(got) == expected
-        for parity, sector in enumerate(blocks):
-            for states in sector:
-                assert np.all((m + n)[states] % 2 == parity)
-        corner = np.flatnonzero(corner_mode_vector(dim_q, dim_p))[0]
-        holding = [states for states in got if corner in states]
-        if alpha == 0:
-            assert holding == [(corner,)]
+    def test_generator_couples_no_two_kept_levels(self, alpha, nu):
+        params = ModelParams(nu, alpha)
+        size, levels = galerkin._conserved_levels(params, 12)
+        k = build("K", params, size, size).matrix.toarray()
+        every = levels[0] + levels[1]
+        for i, rows in enumerate(every):
+            for j, cols in enumerate(every):
+                if i != j:
+                    assert not np.any(k[np.ix_(rows, cols)])
 
     @pytest.mark.parametrize("alpha", ALPHAS)
-    def test_block_exponentials_match_sector_expm(self, alpha):
-        gen = build("K", ModelParams(2.0, alpha), 12, 12)
-        blocks = galerkin._conserved_blocks(gen)
+    def test_sector_exponential_matches_kept_block_expm(self, alpha):
+        params = ModelParams(2.0, alpha)
+        size, levels = galerkin._conserved_levels(params, 12)
+        gen = build("K", params, size, size)
         ts = (0.5, 1.0, 2.0)
-        for parity, idx in enumerate(galerkin._parity_sectors(12, 12)):
-            sector = gen.matrix.toarray()[np.ix_(idx, idx)]
-            assembled = galerkin._sector_exponentials(gen, idx, blocks[parity],
-                                                      ts)
+        for blocks in levels:
+            idx = np.sort(np.concatenate(blocks))
+            kept = gen.matrix.toarray()[np.ix_(idx, idx)]
+            assembled = galerkin._sector_exponentials(gen, idx, blocks, ts)
             for t, et in zip(ts, assembled):
-                assert np.max(np.abs(et - scipy.linalg.expm(-t * sector))) \
+                assert np.max(np.abs(et - scipy.linalg.expm(-t * kept))) \
                     <= 1e-13
 
     @pytest.mark.parametrize("quantity", MATRIX_CURVES)
     @pytest.mark.parametrize("alpha", ALPHAS)
-    # an odd truncation leaves one more even state than odd ones, so a
-    # flipping weight acts on rectangular blocks and the corner mode is even
+    # an odd truncation keeps an odd number of levels, so the two sectors
+    # differ in size and a flipping weight acts on rectangular blocks
     @pytest.mark.parametrize("dim", [12, 11])
     def test_split_matches_unsplit_matrix(self, quantity, alpha, dim,
                                           monkeypatch):
         params = ModelParams(2.0, alpha)
         ts = (0.5, 1.0, 2.0)
-        def dense(label):
-            return build(label, params, dim, dim).matrix.toarray()
+        size, levels = galerkin._conserved_levels(params, dim)
+        kept = np.sort(np.concatenate(levels[0] + levels[1]))
 
-        k = dense("K")
+        def dense(label):
+            return build(label, params, size, size).matrix.toarray()
+
+        k = dense("K")[np.ix_(kept, kept)]
         root_nu = np.sqrt(params.nu)
         root_a = np.sqrt(galerkin._potential_constants(params).a)
         weight, shift = {
-            "evolution_norm": (np.eye(dim * dim), 0.0),
+            "evolution_norm": (np.eye(size * size), 0.0),
             "derivative_weight": (root_nu * dense("D_q"), root_a),
             "gradient_weight": (dense("grad_V"), root_a),
             "position_weight": (dense("weight_q"), root_nu),
             "creation_weight": (root_nu * dense("a_q_star"),
                                 params.nu ** (1.0 / 3.0)),
         }[quantity]
-        v = corner_mode_vector(dim, dim)
-        unsplit = []
-        for t in ts:
-            corner = np.exp(-t / 2.0) * np.outer(v, v) if alpha == 0 else 0.0
-            unsplit.append(np.linalg.norm(weight @ (scipy.linalg.expm(-t * k)
-                                                    - corner), 2)
-                           * np.exp(-t * shift))
+        unsplit = [np.linalg.norm(weight[:, kept] @ scipy.linalg.expm(-t * k),
+                                  2) * np.exp(-t * shift)
+                   for t in ts]
         # the oracle: power iteration stops when successive estimates agree
         # to 1e-10, which leaves up to a few 1e-9 on the gaps met here
         oracle = galerkin._weighted_norm_values(quantity, params, ts, dim)
@@ -282,19 +282,21 @@ class TestParitySectors:
                                            ModelParams(1.0, np.pi / 2, 1.0),
                                            (1.0,), 8)
 
-    def test_parity_keeping_weight_on_flipping_quantity_raises(self,
-                                                               monkeypatch):
-        # derivative_weight expects D_q, which flips the parity of m + n;
-        # weight_q keeps it, so the weight block the split leaves out is
-        # not zero
+    def test_parity_mixing_weight_raises(self, monkeypatch):
+        # D_q + weight_q maps every state onto both parities of m + n, so
+        # the rows the even and the odd sector reach overlap
         real_build = galerkin.build
 
-        def weight_as_derivative(label, params, dim_q, dim_p):
+        def mixed_derivative(label, params, dim_q, dim_p):
+            op = real_build(label, params, dim_q, dim_p)
             if label == "D_q":
-                label = "weight_q"
-            return real_build(label, params, dim_q, dim_p)
+                op = galerkin.HermiteOperator(
+                    dim_q, dim_p,
+                    op.matrix + real_build("weight_q", params, dim_q,
+                                           dim_p).matrix, label)
+            return op
 
-        monkeypatch.setattr(galerkin, "build", weight_as_derivative)
+        monkeypatch.setattr(galerkin, "build", mixed_derivative)
         with pytest.raises(ParityNotConserved):
             galerkin._weighted_norm_values("derivative_weight",
                                            ModelParams(1.0, np.pi / 2),
@@ -338,9 +340,32 @@ class TestDecayCurves:
             assert s.analytic <= s.bound
 
     def test_strict_mode_rejects_coarse_truncation(self):
+        # t = 0.5 still moves by about 11% between dims 18 and 24
         with pytest.raises(TruncationNotConverged):
             decay_curve("derivative_weight", ModelParams(1.0, 0.0),
-                        (1.0,), dims=24, strict=True)
+                        (0.5,), dims=24, strict=True)
+
+    @pytest.mark.parametrize("quantity", MATRIX_CURVES)
+    def test_attracting_oracle_rises_with_dims(self, quantity):
+        # whole attracting levels make W e^{-tK} an exact compression of
+        # the untruncated operator, so more levels can only raise its norm
+        params = ModelParams(2.0, np.pi / 2)
+        ts = (0.5, 1.0, 2.0)
+        ladder_values = [galerkin._weighted_norm_values(quantity, params,
+                                                        ts, dims)
+                         for dims in (10, 14, 18)]
+        for lower, higher in zip(ladder_values, ladder_values[1:]):
+            for a, b in zip(lower, higher):
+                assert b >= a * (1.0 - 1e-8)
+
+    def test_repelling_evolution_norm_matches_semigroup_norm(self):
+        # no corner mode to deflate; at dims 24 the chains of 12 states
+        # still leave 3.6e-7 at t = 2, at dims 32 (16 states) 3.7e-9
+        ts = (0.5, 1.0, 2.0)
+        values = galerkin._weighted_norm_values(
+            "evolution_norm", ModelParams(1.0, 0.0), ts, 32)
+        assert values == pytest.approx([semigroup_norm(t, 1.0).norm
+                                        for t in ts], rel=1e-8)
 
     def test_unknown_quantity_raises(self):
         with pytest.raises(UnknownLabel):
