@@ -1,10 +1,13 @@
-"""Acceptance checks shared by the test suite and `kfpq verify-all`.
+"""Oracle sweeps and the acceptance criteria built on them.
 
-Each criterion function runs one self-contained verification block and
-returns a CriterionResult whose details string is deterministic for a fixed
-seed, so two runs of the full suite emit byte-identical reports.  Wall time
-is recorded and compared against each criterion's budget, but it is kept out
-of the details string.
+A sweep runs a closed form against its independent oracle over explicit
+grids and returns the table ``kfpq <command>`` prints: column names and rows
+ending in RESULT_COLUMNS.  The last column is the verdict under the
+tolerance of the criterion that covers the sweep, written only in the sweep;
+criteria 4, 5, 6, 8 and 10 reduce over sweep rows and read that verdict.
+Each criterion returns a CriterionResult whose details string is
+deterministic for a fixed seed, so two runs emit byte-identical reports; wall
+time is compared against the criterion's budget but kept out of the details.
 """
 
 from __future__ import annotations
@@ -27,13 +30,19 @@ from .exactnorms import (optimality_witness, oscillator_norm_closed,
                          overlap_quadrature, resolvent_bound, semigroup_norm,
                          witness_rayleigh_numeric)
 from .galerkin import decay_curve, subelliptic_constant
-from .positivity import delta0, positivity_report
+from .positivity import NonRealDelta0, delta0, positivity_report
 from .symbols import (ModelParams, generator_hessian, hamilton_basis,
                       hamilton_map, kappa, kappa0, rotated_oscillator_hessian)
 
-__all__ = ["CriterionResult", "CRITERIA", "FAST_CRITERIA", "run_criteria"]
+__all__ = ["CriterionResult", "CRITERIA", "FAST_CRITERIA", "run_criteria",
+           "RESULT_COLUMNS", "sweep_norms", "sweep_delta0",
+           "sweep_positivity", "sweep_bargmann", "sweep_resolvent",
+           "sweep_optimality", "sweep_degenerate", "sweep_subelliptic"]
 
 _ALPHAS = (0.0, np.pi / 2)
+
+RESULT_COLUMNS = ("t", "analytic", "bound", "oracle", "rel_discrepancy",
+                  "converged_flag")
 
 
 @dataclass(frozen=True)
@@ -48,6 +57,186 @@ class CriterionResult:
 
 def _fmt(x: float) -> str:
     return "%.3g" % x
+
+
+def _signed_params(nu: float) -> ModelParams:
+    """Attracting potential at nu > 0, repelling at |nu| for nu < 0."""
+    return ModelParams(nu=abs(nu), alpha=np.pi / 2 if nu > 0 else 0.0)
+
+
+def _columns(table) -> dict:
+    """Column name -> tuple of the values of a sweep's rows."""
+    columns, rows = table
+    return dict(zip(columns, zip(*rows)))
+
+
+# ---------------------------------------------------------------------------
+# oracle sweeps
+
+
+def sweep_norms(nus, ts):
+    """Exact semigroup norm against the eigenvalue route (criterion 5).
+
+    rel_discrepancy is 0 when both values underflow to 0, and inf when only
+    the closed form does; the verdict is on the absolute discrepancy.
+    """
+    rows = []
+    for nu in nus:
+        for t in ts:
+            res = semigroup_norm(t, nu)
+            oracle = float((res.mu1 / res.mu2) ** 0.25)
+            if res.norm != 0.0:
+                rel = abs(oracle - res.norm) / res.norm
+            else:
+                rel = 0.0 if oracle == 0.0 else np.inf
+            rows.append([nu, t, res.norm, 1.0, oracle, rel,
+                         abs(oracle - res.norm) <= 1e-10])
+    return ("nu",) + RESULT_COLUMNS, rows
+
+
+def _delta0_root(t: float, params: ModelParams) -> float:
+    """Root of the flow-form determinant, bracketed around the closed form."""
+    def det_real(d):
+        return positivity_report(t, float(d), params, 1).det_value.real
+
+    d0 = delta0(t, params)
+    lo, hi = 0.5 * d0, 1.5 * d0
+    f_lo, f_hi = det_real(lo), det_real(hi)
+    tries = 0
+    while f_lo * f_hi > 0 and tries < 6:
+        lo *= 0.5
+        hi *= 1.8
+        f_lo, f_hi = det_real(lo), det_real(hi)
+        tries += 1
+    if f_lo * f_hi > 0:
+        raise NonRealDelta0("determinant does not change sign near the "
+                            "closed-form threshold at t=%g" % t)
+    return float(scipy.optimize.brentq(det_real, lo, hi, xtol=1e-15,
+                                       rtol=8.9e-16))
+
+
+def sweep_delta0(nus, alphas, ts):
+    """Closed-form positivity threshold against a determinant root."""
+    rows = []
+    for nu in nus:
+        for alpha in alphas:
+            params = ModelParams(nu=nu, alpha=alpha)
+            for t in ts:
+                analytic = delta0(t, params)
+                oracle = _delta0_root(t, params)
+                cubic = nu * t ** 3 / 12.0
+                rel = abs(oracle - analytic) / analytic
+                rows.append([nu, alpha, t, analytic, cubic, oracle, rel,
+                             rel <= 1e-9])
+    return ("nu", "alpha") + RESULT_COLUMNS, rows
+
+
+def sweep_positivity(nus, alphas, ts):
+    """Flow-form determinant at delta0 and interior eigenvalue at delta0/2.
+
+    The analytic and rel_discrepancy columns hold the determinant residual,
+    the oracle column the smallest interior eigenvalue (criterion 4).
+    """
+    rows = []
+    for nu in nus:
+        for alpha in alphas:
+            params = ModelParams(nu=nu, alpha=alpha)
+            for sign in (1, -1):
+                for t in ts:
+                    d0 = delta0(t, params)
+                    det_res = positivity_report(t, d0, params,
+                                                sign).det_residual
+                    inner = positivity_report(t, 0.5 * d0, params, sign)
+                    rows.append([nu, alpha, sign, t, det_res, 0.0,
+                                 inner.min_eigenvalue, det_res,
+                                 det_res <= 1e-8 and bool(inner.is_positive)])
+    return ("nu", "alpha", "sign") + RESULT_COLUMNS, rows
+
+
+def sweep_bargmann(nus, ts, seed):
+    """Quotient supremum against seeded direct search (criterion 8)."""
+    rows = []
+    for nu in nus:
+        params = ModelParams(nu=nu, alpha=np.pi / 2)
+        for t in ts:
+            analytic = quotient(t, params).sup_value
+            oracle = sup_direct_optimization(t, params, seed=seed)
+            bound = remainder_bound(t, params) if nu > 1 else None
+            rel = abs(oracle / analytic - 1.0)
+            rows.append([nu, t, analytic, bound, oracle, rel, rel <= 1e-6])
+    return ("nu",) + RESULT_COLUMNS, rows
+
+
+def sweep_resolvent(nus):
+    """Resolvent integral against its logarithmic bound (criterion 6)."""
+    rows = []
+    for nu in nus:
+        res = resolvent_bound(nu)
+        n1 = float(np.sqrt(1.0 + 4.0 * nu))
+        analytic = float(np.log(nu) / np.sqrt(nu))
+        bound = 2.0 * (np.log(nu) / n1 + 1.0 / nu)
+        rows.append([nu, None, analytic, bound, res.integral,
+                     res.c_ratio - 1.0, bool(res.integral <= bound)])
+    return ("nu",) + RESULT_COLUMNS, rows
+
+
+def sweep_optimality(nus):
+    """Grid witness quotient against 1.2 times the closed Rayleigh bound."""
+    rows = []
+    for nu in nus:
+        wit = optimality_witness(nu)
+        numeric = witness_rayleigh_numeric(nu)
+        rel = numeric.quotient / wit.rayleigh_bound - 1.0
+        rows.append([nu, None, wit.rayleigh_bound, 1.2 * wit.rayleigh_bound,
+                     numeric.quotient, rel,
+                     bool(numeric.quotient <= 1.2 * wit.rayleigh_bound)])
+    return ("nu",) + RESULT_COLUMNS, rows
+
+
+def _degenerate_sup_numeric(t: float, lam: float) -> float:
+    """Grid plus polish maximization of the weighted fiber norm in b."""
+    u = fiber_exponent(t)
+    width = float(np.sqrt(-1.0 / u))
+    hi = max(2.0 * lam, lam + 4.0 * width) + 1.0
+    grid = np.linspace(lam, hi, 1601)
+    values = grid * grid * np.exp(u * grid * grid)
+    k = int(np.argmax(values))
+    lo_b = grid[max(k - 1, 0)]
+    hi_b = grid[min(k + 1, len(grid) - 1)]
+    if hi_b <= lo_b:
+        return float(values[k])
+    res = scipy.optimize.minimize_scalar(
+        lambda b: -fiber_norm(t, float(b)), bounds=(float(lo_b), float(hi_b)),
+        method="bounded", options={"xatol": 1e-12})
+    return float(max(values[k], -res.fun))
+
+
+def sweep_degenerate(lambdas, ts):
+    """Linear-potential fiber supremum against grid maximization."""
+    rows = []
+    for lam in lambdas:
+        for t in ts:
+            analytic = sup_weighted(t, lam)
+            bound = decay_bound_degenerate(t, lam)
+            oracle = _degenerate_sup_numeric(t, lam)
+            rel = abs(oracle / analytic - 1.0)
+            rows.append([lam, t, analytic, bound, oracle, rel, rel <= 1e-6])
+    return ("lambda1",) + RESULT_COLUMNS, rows
+
+
+def sweep_subelliptic(nus, dims):
+    """Subelliptic pencil constant, signed nu selecting the potential (C10)."""
+    rows = []
+    for nu in nus:
+        params = _signed_params(nu)
+        value = subelliptic_constant(params, dims=dims)
+        rows.append([nu, params.alpha, dims, None, None, None,
+                     value, None, bool(value > 0)])
+    return ("nu", "alpha", "dims") + RESULT_COLUMNS, rows
+
+
+# ---------------------------------------------------------------------------
+# acceptance criteria
 
 
 def _matrix_exp_series(m: np.ndarray, terms: int = 80) -> np.ndarray:
@@ -141,30 +330,28 @@ def criterion_3(seed: int = 0) -> CriterionResult:
 def criterion_4(seed: int = 0) -> CriterionResult:
     """Positivity threshold: vanishing determinant, cubic window, interior."""
     start = time.perf_counter()
-    worst_det = 0.0
+    nus = (0.5, 1.0, 4.0, 25.0)
+    ts = np.logspace(np.log10(0.05), np.log10(3.0), 10).tolist()
+    swept = _columns(sweep_positivity(nus, _ALPHAS, ts))
     worst_ratio = 0.0
-    min_interior = np.inf
-    for nu in (0.5, 1.0, 4.0, 25.0):
+    min_at_zero = np.inf
+    for nu in nus:
         for alpha in _ALPHAS:
             params = ModelParams(nu=nu, alpha=alpha)
-            for t in np.logspace(np.log10(0.05), np.log10(3.0), 10):
-                d0 = delta0(float(t), params)
+            for t in ts:
                 for sign in (1, -1):
-                    rep = positivity_report(float(t), d0, params, sign)
-                    worst_det = max(worst_det, rep.det_residual)
-                    for frac in (0.0, 0.5):
-                        inner = positivity_report(float(t), frac * d0,
-                                                  params, sign)
-                        min_interior = min(min_interior, inner.min_eigenvalue)
+                    min_at_zero = min(min_at_zero, positivity_report(
+                        t, 0.0, params, sign).min_eigenvalue)
             t_small = 1e-2 / (1.0 + np.sqrt(nu))
             ratio = delta0(t_small, params) / (nu * t_small ** 3 / 12.0)
             worst_ratio = max(worst_ratio, abs(ratio - 1.0))
     elapsed = time.perf_counter() - start
-    passed = (worst_det <= 1e-8 and worst_ratio <= 0.02
-              and min_interior > 0.0 and elapsed < 10.0)
+    passed = (all(swept["converged_flag"]) and worst_ratio <= 0.02
+              and min_at_zero > 0.0 and elapsed < 10.0)
     details = ("det residual %s (tol 1e-8), cubic ratio off by %s (tol 0.02), "
                "interior min eigenvalue %s (must be > 0)"
-               % (_fmt(worst_det), _fmt(worst_ratio), _fmt(min_interior)))
+               % (_fmt(max(swept["rel_discrepancy"])), _fmt(worst_ratio),
+                  _fmt(min(min_at_zero, *swept["oracle"]))))
     return CriterionResult(4, "positivity threshold", passed, details,
                            elapsed, 10.0)
 
@@ -172,12 +359,10 @@ def criterion_4(seed: int = 0) -> CriterionResult:
 def criterion_5(seed: int = 0) -> CriterionResult:
     """Exact semigroup norm: eigenvalue route and Galerkin oracle."""
     start = time.perf_counter()
-    worst_mu = 0.0
-    for nu in (0.5, 1.0, 4.0, 100.0, 1e4):
-        for t in np.logspace(-3, np.log10(20.0), 25):
-            res = semigroup_norm(float(t), nu)
-            worst_mu = max(worst_mu,
-                           abs((res.mu1 / res.mu2) ** 0.25 - res.norm))
+    swept = _columns(sweep_norms((0.5, 1.0, 4.0, 100.0, 1e4),
+                                 np.logspace(-3, np.log10(20.0), 25).tolist()))
+    worst_mu = max(abs(oracle - analytic) for oracle, analytic
+                   in zip(swept["oracle"], swept["analytic"]))
     curve = decay_curve("evolution_norm", ModelParams(nu=1.0, alpha=0.0),
                         (0.5, 1.0, 2.0), dims=64, strict=False)
     worst_rel = 0.0
@@ -186,8 +371,8 @@ def criterion_5(seed: int = 0) -> CriterionResult:
         worst_rel = max(worst_rel, abs(s.oracle / s.analytic - 1.0))
         all_green = all_green and s.converged
     elapsed = time.perf_counter() - start
-    passed = (worst_mu <= 1e-10 and worst_rel <= 0.05 and all_green
-              and elapsed < 180.0)
+    passed = (all(swept["converged_flag"]) and worst_rel <= 0.05
+              and all_green and elapsed < 180.0)
     details = ("mu-route residual %s (tol 1e-10), Galerkin deviation %s "
                "(tol 0.05), convergence flags %s"
                % (_fmt(worst_mu), _fmt(worst_rel),
@@ -199,12 +384,8 @@ def criterion_5(seed: int = 0) -> CriterionResult:
 def criterion_6(seed: int = 0) -> CriterionResult:
     """Resolvent integral bound and its logarithmic scaling ratio."""
     start = time.perf_counter()
-    bound_ok = True
-    for nu in (1e2, 1e4, 1e6):
-        res = resolvent_bound(nu)
-        n1 = np.sqrt(1.0 + 4.0 * nu)
-        bound_ok = bound_ok and (res.integral
-                                 <= 2.0 * (np.log(nu) / n1 + 1.0 / nu))
+    swept = _columns(sweep_resolvent((1e2, 1e4, 1e6)))
+    bound_ok = all(swept["converged_flag"])
     ratios = [resolvent_bound(float(nu)).c_ratio
               for nu in np.logspace(2, 8, 9)]
     lo, hi = min(ratios), max(ratios)
@@ -264,22 +445,18 @@ def criterion_8(seed: int = 0) -> CriterionResult:
             worst_forms = max(worst_forms,
                               abs(pair.lambda_minus - alt) / alt)
             min_lam = min(min_lam, pair.lambda_minus)
-    worst_sup = 0.0
-    for nu in (1.0, 4.0):
-        params = ModelParams(nu=nu, alpha=np.pi / 2)
-        for t in (0.5, 1.0, 2.0):
-            analytic = quotient(t, params).sup_value
-            direct = sup_direct_optimization(t, params, seed=seed)
-            worst_sup = max(worst_sup, abs(direct / analytic - 1.0))
+    swept = _columns(sweep_bargmann((1.0, 4.0), (0.5, 1.0, 2.0), seed))
     c_small, c_large = quotient_regime_constants((1.0, 1e2, 1e4))
     regimes_ok = 5.4 <= c_small <= 6.5 and c_large <= 6.5
     elapsed = time.perf_counter() - start
-    passed = (worst_forms <= 1e-11 and min_lam > 1.0 and worst_sup <= 1e-6
-              and regimes_ok and elapsed < 30.0)
+    passed = (worst_forms <= 1e-11 and min_lam > 1.0
+              and all(swept["converged_flag"]) and regimes_ok
+              and elapsed < 30.0)
     details = ("eigenvalue forms differ by %s (tol 1e-11), min lambda_minus "
                "%s (must exceed 1), sup deviation %s (tol 1e-6), regime "
                "constants (%s, %s)"
-               % (_fmt(worst_forms), _fmt(min_lam), _fmt(worst_sup),
+               % (_fmt(worst_forms), _fmt(min_lam),
+                  _fmt(max(swept["rel_discrepancy"])),
                   _fmt(c_small), _fmt(c_large)))
     return CriterionResult(8, "holomorphic quotient", passed, details,
                            elapsed, 30.0)
@@ -325,12 +502,8 @@ def criterion_10(seed: int = 0) -> CriterionResult:
     curves_ok = True
     flags_ok = True
     for signed_nu, required in required_converged.items():
-        if signed_nu > 0:
-            params = ModelParams(nu=signed_nu, alpha=np.pi / 2)
-        else:
-            params = ModelParams(nu=-signed_nu, alpha=0.0)
-        curve = decay_curve("derivative_weight", params, (0.5, 1.0, 2.0),
-                            dims=64, strict=False)
+        curve = decay_curve("derivative_weight", _signed_params(signed_nu),
+                            (0.5, 1.0, 2.0), dims=64, strict=False)
         for s in curve.samples:
             curves_ok = curves_ok and s.oracle <= s.bound * (1.0 + 1e-9)
             if s.t in required:
@@ -342,14 +515,11 @@ def criterion_10(seed: int = 0) -> CriterionResult:
         for s in curve.samples:
             curves_ok = curves_ok and s.oracle <= s.bound * (1.0 + 1e-9)
             flags_ok = flags_ok and s.converged
-    pencil_ok = True
-    worst_drift = 0.0
-    for alpha in (np.pi / 2, 0.0):
-        params = ModelParams(nu=1.0, alpha=alpha)
-        c16 = subelliptic_constant(params, dims=16)
-        c24 = subelliptic_constant(params, dims=24)
-        pencil_ok = pencil_ok and c16 > 0.0 and c24 > 0.0
-        worst_drift = max(worst_drift, abs(c24 / c16 - 1.0))
+    small, large = (_columns(sweep_subelliptic((1.0, -1.0), dims))
+                    for dims in (16, 24))
+    pencil_ok = all(small["converged_flag"] + large["converged_flag"])
+    worst_drift = max(abs(c24 / c16 - 1.0)
+                      for c16, c24 in zip(small["oracle"], large["oracle"]))
     elapsed = time.perf_counter() - start
     passed = (curves_ok and flags_ok and pencil_ok and worst_drift <= 0.30
               and elapsed < 600.0)

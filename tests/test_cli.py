@@ -1,10 +1,13 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import argparse
+import dataclasses
 import json
 
 import pytest
 
-from kfpq.cli import ConfigError, main
+from kfpq import acceptance
+from kfpq.cli import ConfigError, _build_parser, main
 
 
 def run(capsys, argv):
@@ -50,6 +53,66 @@ class TestCsvOutput:
         capsys.readouterr()
         assert rc2 == 0
         assert path.read_text() == out
+
+
+def _verdicts(out):
+    return [row.rsplit(",", 1)[-1] for row in out.rstrip("\n").split("\n")[2:]]
+
+
+class TestVerdicts:
+    def test_norms_verdict_reads_the_discrepancy(self, capsys, monkeypatch):
+        def perturbed(t, nu, original=acceptance.semigroup_norm):
+            res = original(t, nu)
+            return dataclasses.replace(res, mu1=res.mu1 * (1.0 + 1e-8))
+        monkeypatch.setattr(acceptance, "semigroup_norm", perturbed)
+        rc, out, _ = run(capsys, ["norms", "--nu", "1",
+                                  "--t", "0.1:1:3:log"])
+        assert rc == 0
+        assert _verdicts(out) == ["false"] * 3
+
+    def test_norms_underflow_keeps_every_row(self, capsys):
+        # at nu = 1e4 the closed norm underflows to 0 and mu2 overflows
+        rc, out, _ = run(capsys, ["norms", "--nu", "0.5,1,4,100,1e4",
+                                  "--t", "0.001:20:25:log"])
+        assert rc == 0
+        assert _verdicts(out) == ["true"] * 125
+        zero = [row for row in out.split("\n")[2:]
+                if row.startswith("10000,") and row.split(",")[2] == "0"]
+        assert zero and all(row.split(",")[5] == "0" for row in zero)
+
+    def test_positivity_verdict_reads_the_residual(self, capsys, monkeypatch):
+        def off_threshold(*args, original=acceptance.positivity_report):
+            return dataclasses.replace(original(*args), det_residual=1e-6)
+        monkeypatch.setattr(acceptance, "positivity_report", off_threshold)
+        rc, out, _ = run(capsys, ["positivity", "--nu", "1", "--alpha", "pi2",
+                                  "--t", "0.5:1:2:lin"])
+        assert rc == 0
+        assert _verdicts(out) == ["false"] * 4
+
+
+class TestCommandFlags:
+    COMMON = {"-h", "--help", "--config", "--out"}
+    TABLE = COMMON | {"--format"}
+    FLAGS = {
+        "norms": TABLE | {"--nu", "--t"},
+        "delta0": TABLE | {"--nu", "--alpha", "--t"},
+        "positivity": TABLE | {"--nu", "--alpha", "--t"},
+        "bargmann": TABLE | {"--nu", "--t", "--seed"},
+        "resolvent": TABLE | {"--nu"},
+        "optimality": TABLE | {"--nu"},
+        "degenerate": TABLE | {"--lambda1", "--t"},
+        "subelliptic": TABLE | {"--nu", "--dims"},
+        "verify-all": COMMON | {"--criteria", "--seed"},
+    }
+
+    def test_each_command_accepts_its_flags(self):
+        parser = _build_parser()
+        subparsers = next(a for a in parser._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        accepted = {name: {flag for action in sub._actions
+                           for flag in action.option_strings}
+                    for name, sub in subparsers.choices.items()}
+        assert accepted == self.FLAGS
 
 
 class TestJsonOutput:
