@@ -3,11 +3,12 @@
 For alpha = pi/2 and nu > 1/4 the model operator is unitarily equivalent to
 the first-order flow z . M grad_z on a weighted Fock space, with a 2x2 matrix
 M recovered here by eigenvector identification (``reduce``).  Everything
-downstream is finite dimensional: the Gram matrix of e^{tM} in closed Pauli
-form, its eigenvalues lambda_{+/-}, the weighted quotient Q_t(e'_q) that
-controls creation-operator decay, and the resulting t^{-3/2} remainder
-envelope.  scipy handles the matrix exponentials and the direct optimization
-used as oracles; the closed forms are the implementation.
+downstream is finite dimensional: the flow e^{tM} and its Gram matrix as
+biquaternions, the Gram eigenvalues lambda_{+/-}, the weighted quotient
+Q_t(e'_q) that controls creation-operator decay, and the resulting t^{-3/2}
+remainder envelope.  scipy handles the matrix exponentials and the 2x2
+generalized eigenproblem used as oracles; the closed forms are the
+implementation.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import optimize
+import scipy.linalg
 
+from kfpq.biquat import Biquaternion
 from kfpq.symbols import ModelParams, generator_hessian, hamilton_map
 
 __all__ = [
@@ -25,7 +27,6 @@ __all__ = [
     "BargmannReduction",
     "WeightedQuotient",
     "GramEigenvalues",
-    "pauli_matrices",
     "reduce",
     "flow_matrix",
     "gram_matrix",
@@ -57,16 +58,13 @@ class BargmannReduction:
     A_plus and A_minus parametrize the positive and negative invariant
     planes (A_plus = i Id, A_minus = -i Id for this model), B is the
     quadratic coefficient matrix solved by identification, and
-    M = (Id - i A_plus) B = 2 B generates the reduced flow.  eigen_data
-    holds the eigenvalues and eigenvectors of the 4x4 Hamilton map of the
-    adjoint symbol.
+    M = (Id - i A_plus) B = 2 B generates the reduced flow.
     """
 
     A_plus: np.ndarray
     A_minus: np.ndarray
     B: np.ndarray
     M: np.ndarray
-    eigen_data: dict
 
 
 class GramEigenvalues(NamedTuple):
@@ -79,14 +77,13 @@ class WeightedQuotient:
     """Closed data of the weighted sup at one time.
 
     Q_t_eq is the quotient Q_t(e'_q) evaluated on the adapted basis vector
-    e_q_prime (the position direction made S_t-orthogonal to e_p), and
+    e'_q (the position direction made S_t-orthogonal to e_p), and
     sup_value = 2 c0 / Q_t_eq is the exact supremum of |z_q|^2 e^{-Q_t(z)/2}.
     """
 
     t: float
     params: ModelParams
     Q_t_eq: float
-    e_q_prime: np.ndarray
     lambda_minus: float
     sup_value: float
 
@@ -102,13 +99,6 @@ def _trig_factors(t: float, r1: float):
     """C = cos(t r1 / 2) and S = sin(t r1 / 2) / r1 (real flow factors)."""
     half = 0.5 * t * r1
     return np.cos(half), np.sin(half) / r1
-
-
-def pauli_matrices():
-    s1 = np.array([[0, 1], [1, 0]], dtype=complex)
-    s2 = np.array([[0, -1j], [1j, 0]], dtype=complex)
-    s3 = np.array([[1, 0], [0, -1]], dtype=complex)
-    return s1, s2, s3
 
 
 def reduce(params: ModelParams, tol: float = 1e-10) -> BargmannReduction:
@@ -167,30 +157,24 @@ def reduce(params: ModelParams, tol: float = 1e-10) -> BargmannReduction:
         raise DegenerateEigenbasis(
             "identification residual %g exceeds tolerance" % residual)
     m = (np.eye(2) - 1j * a_plus) @ b
-    return BargmannReduction(
-        A_plus=a_plus, A_minus=a_minus, B=b, M=m,
-        eigen_data={"eigenvalues": w, "eigenvectors": v},
-    )
+    return BargmannReduction(A_plus=a_plus, A_minus=a_minus, B=b, M=m)
 
 
 def flow_matrix(t: float, params: ModelParams) -> np.ndarray:
-    """e^{tM} in closed Pauli form e^{t/2}(C Id - S sigma3 - 2i sqrt(nu) S sigma2)."""
+    """e^{tM} as the biquaternion e^{t/2}(C + iS i - 2 sqrt(nu) S j)."""
     _require_oscillatory(params)
-    s1, s2, s3 = pauli_matrices()
     c, s = _trig_factors(t, params.r1)
-    idm = np.eye(2, dtype=complex)
-    return np.exp(t / 2) * (c * idm - s * s3
-                            - 2j * np.sqrt(params.nu) * s * s2)
+    flow = Biquaternion(c, 1j * s, -2 * np.sqrt(params.nu) * s)
+    return np.exp(t / 2) * flow.to_matrix()
 
 
 def gram_matrix(t: float, params: ModelParams) -> np.ndarray:
-    """(e^{tM})^* e^{tM} = e^t[(1+2S^2) Id - 2CS sigma3 + 4 sqrt(nu) S^2 sigma1]."""
+    """(e^{tM})^* e^{tM} = e^t(1 + 2S^2 + 2iCS i - 4i sqrt(nu) S^2 k)."""
     _require_oscillatory(params)
-    s1, _, s3 = pauli_matrices()
     c, s = _trig_factors(t, params.r1)
-    idm = np.eye(2, dtype=complex)
-    return np.exp(t) * ((1 + 2 * s * s) * idm - 2 * c * s * s3
-                        + 4 * np.sqrt(params.nu) * s * s * s1)
+    gram = Biquaternion(1 + 2 * s * s, 2j * c * s, 0,
+                        -4j * np.sqrt(params.nu) * s * s)
+    return np.exp(t) * gram.to_matrix()
 
 
 def gram_eigenvalues(t: float, params: ModelParams) -> GramEigenvalues:
@@ -235,41 +219,26 @@ def quotient(t: float, params: ModelParams) -> WeightedQuotient:
     num = 4 * (np.sinh(t / 2) ** 2 - s * s)
     den = (1 - np.exp(-t)) + 2 * s * s + 2 * s * c
     q_val = float(num / den)
-    et = np.exp(t)
-    s_pq = 4 * np.sqrt(params.nu) * et * s * s
-    s_pp = et * (1 + 2 * s * s + 2 * c * s) - 1.0
-    e_q_prime = np.array([1.0, -s_pq / s_pp], dtype=complex)
     lam_minus = gram_eigenvalues(t, params).lambda_minus
     return WeightedQuotient(t=float(t), params=params, Q_t_eq=q_val,
-                            e_q_prime=e_q_prime, lambda_minus=lam_minus,
-                            sup_value=2 * C0 / q_val)
+                            lambda_minus=lam_minus, sup_value=2 * C0 / q_val)
 
 
-def sup_direct_optimization(t: float, params: ModelParams, seed: int = 5,
-                            n_starts: int = 8) -> float:
-    """Direct maximization of |z_q|^2 e^{-Q_t(z)/2} over z in C^2.
+def sup_direct_optimization(t: float, params: ModelParams) -> float:
+    """sup of |z_q|^2 e^{-Q_t(z)/2} over z in C^2 from one 2x2 eigenproblem.
 
-    Unstructured local optimization (Nelder-Mead) from seeded random starts
-    in the 4 real coordinates; serves as the oracle for sup_value without
-    assuming the adapted basis is correct.
+    By homogeneity f(r u) = r^2 |u_q|^2 e^{-r^2 Q_t(u)/2} peaks at
+    r^2 = 2 / Q_t(u) with value 2 |u_q|^2 / (e Q_t(u)), so the supremum is
+    2 c0 times the largest generalized eigenvalue of (e_q e_q^*, S_t) with
+    S_t = G_t - Id.  It does not use e'_q, but it is not an unstructured
+    search either: by the Schur complement 1 / (S_t^{-1})_qq = Q_t(e'_q),
+    so this oracle checks the closed trig formula for Q_t(e'_q) and the
+    homogeneity step.
     """
-    g = gram_matrix(t, params)
-    s_form = g - np.eye(2)
-
-    def negf(x):
-        z = np.array([x[0] + 1j * x[1], x[2] + 1j * x[3]])
-        q_of_z = float(np.real(np.conj(z) @ (s_form @ z)))
-        return -(abs(z[0]) ** 2) * np.exp(-q_of_z / 2)
-
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    for _ in range(n_starts):
-        x0 = rng.standard_normal(4)
-        res = optimize.minimize(
-            negf, x0, method="Nelder-Mead",
-            options={"maxiter": 4000, "xatol": 1e-12, "fatol": 1e-15})
-        best = max(best, -float(res.fun))
-    return best
+    s_form = gram_matrix(t, params) - np.eye(2)
+    e_qq = np.diag([1.0, 0.0])
+    top = scipy.linalg.eigh(e_qq, s_form, eigvals_only=True)[-1]
+    return float(2 * C0 * top)
 
 
 def remainder_bound(t: float, params: ModelParams) -> float:

@@ -261,7 +261,7 @@ def _cmd_positivity(opts):
 def _cmd_bargmann(opts):
     if any(nu <= 0.25 for nu in opts["nu"]):
         raise ConfigError("field 'nu': the oscillatory regime needs nu > 1/4")
-    return sweep_bargmann(opts["nu"], opts["t"], opts["seed"])
+    return sweep_bargmann(opts["nu"], opts["t"])
 
 
 def _cmd_resolvent(opts):
@@ -323,9 +323,8 @@ _COMMANDS = {
                    _cmd_positivity,
                    {"nu": "1,4", "alpha": None, "t": "0.1:3:12:log",
                     **_TABLE}),
-    "bargmann": ("weighted quotient supremum against direct search",
-                 _cmd_bargmann,
-                 {"nu": "1,4", "t": "0.5:2:4:log", "seed": "0", **_TABLE}),
+    "bargmann": ("weighted quotient supremum against a 2x2 eigenproblem",
+                 _cmd_bargmann, {"nu": "1,4", "t": "0.5:2:4:log", **_TABLE}),
     "resolvent": ("logarithmic resolvent integral bound", _cmd_resolvent,
                   {"nu": "100,10000,1000000", **_TABLE}),
     "optimality": ("witness Rayleigh quotient against a grid",
@@ -348,7 +347,7 @@ _FLAGS = {
     "alpha": {"choices": ("0", "pi2"),
               "help": "potential angle (default: both)"},
     "dims": {"help": "Hermite modes per factor"},
-    "seed": {"help": "seed for randomized oracles"},
+    "seed": {"help": "seed for criterion 1's random draws"},
     "criteria": {"help": "comma-separated criterion numbers"},
     "out": {"metavar": "PATH",
             "help": "write output to PATH instead of stdout"},

@@ -37,8 +37,6 @@ __all__ = [
     "NonRealDelta0",
     "NonFiniteDeterminant",
     "PositivityReport",
-    "Delta0Curve",
-    "delta0_curve",
     "position_flow_form",
     "evolved_flow_form",
     "hermitian_difference",
@@ -207,20 +205,6 @@ def delta0(t: float, params: ModelParams, imag_tol: float = 1e-10) -> float:
         raise NonRealDelta0(
             "threshold has imaginary part %g at t=%g" % (val.imag, t))
     return float(val.real)
-
-
-@dataclass(frozen=True)
-class Delta0Curve:
-    """Sampled positivity threshold: (t, delta0(t)) pairs for one model."""
-
-    samples: tuple
-    params: ModelParams
-
-
-def delta0_curve(params: ModelParams, ts) -> Delta0Curve:
-    """Evaluate the threshold on a time grid, sorted ascending."""
-    pairs = tuple((float(t), delta0(float(t), params)) for t in sorted(ts))
-    return Delta0Curve(samples=pairs, params=params)
 
 
 def delta0_lower_bound_check(params: ModelParams, epsilon0: float = 0.5,

@@ -35,8 +35,8 @@ class TestReduction:
 
 def test_flow_matrix_matches_exponential():
     for nu in (0.3, 1.0, 9.0):
-        m = np.array([[0.0, -np.sqrt(nu)], [np.sqrt(nu), 1.0]])
         params = params_for(nu)
+        m = reduce(params).M
         for t in (0.2, 1.3, 4.0):
             closed = flow_matrix(t, params)
             oracle = scipy.linalg.expm(t * m)
@@ -97,12 +97,13 @@ class TestQuotient:
         assert q.Q_t_eq > 0
         assert abs(q.sup_value - 2.0 * np.exp(-1.0) / q.Q_t_eq) < 1e-15
 
-    @pytest.mark.parametrize("seed", [5, 0])
-    def test_direct_optimization_agrees(self, seed):
-        params = params_for(1.0)
-        analytic = quotient(1.0, params).sup_value
-        direct = sup_direct_optimization(1.0, params, seed=seed)
-        assert abs(direct / analytic - 1.0) < 1e-6
+    @pytest.mark.parametrize("nu", [0.3, 1.0, 4.0, 25.0, 100.0, 1e4])
+    def test_direct_optimization_agrees(self, nu):
+        params = params_for(nu)
+        for t in np.logspace(np.log10(0.05), 1, 12):
+            analytic = quotient(float(t), params).sup_value
+            direct = sup_direct_optimization(float(t), params)
+            assert abs(direct / analytic - 1.0) <= 1e-10, t
 
     def test_regime_constants_frozen(self):
         c_small, c_large = quotient_regime_constants((1.0, 1e2, 1e4))

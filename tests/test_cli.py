@@ -97,7 +97,7 @@ class TestCommandFlags:
         "norms": TABLE | {"--nu", "--t"},
         "delta0": TABLE | {"--nu", "--alpha", "--t"},
         "positivity": TABLE | {"--nu", "--alpha", "--t"},
-        "bargmann": TABLE | {"--nu", "--t", "--seed"},
+        "bargmann": TABLE | {"--nu", "--t"},
         "resolvent": TABLE | {"--nu"},
         "optimality": TABLE | {"--nu"},
         "degenerate": TABLE | {"--lambda1", "--t"},
@@ -203,8 +203,7 @@ class TestErrorExits:
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, capsys):
-        argv = ["bargmann", "--nu", "1", "--t", "0.5:2:3:log",
-                "--seed", "0"]
+        argv = ["bargmann", "--nu", "1", "--t", "0.5:2:3:log"]
         _, first, _ = run(capsys, argv)
         _, second, _ = run(capsys, argv)
         assert first == second

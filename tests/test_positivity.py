@@ -4,10 +4,9 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from kfpq.positivity import (Delta0Curve, NonFiniteDeterminant, NonRealDelta0,
-                             delta0, delta0_curve, delta0_lower_bound_check,
-                             hermitian_difference, position_weight_decay_bound,
-                             positivity_report)
+from kfpq.positivity import (NonFiniteDeterminant, NonRealDelta0, delta0,
+                             delta0_lower_bound_check, hermitian_difference,
+                             position_weight_decay_bound, positivity_report)
 from kfpq.symbols import ModelParams, hamilton_basis, kappa, kappa0
 
 ALPHAS = (0.0, np.pi / 2)
@@ -172,15 +171,6 @@ def test_lower_bound_constant_frozen(key):
 def test_lower_bound_check_input_guards():
     with pytest.raises(ValueError):
         delta0_lower_bound_check(ModelParams(nu=1.0), epsilon0=1.5)
-
-
-def test_curve_is_sorted_and_bound_to_params():
-    params = ModelParams(nu=2.0, alpha=0.0)
-    curve = delta0_curve(params, (1.0, 0.25, 2.0))
-    assert isinstance(curve, Delta0Curve)
-    ts = [t for t, _ in curve.samples]
-    assert ts == sorted(ts)
-    assert curve.params is params
 
 
 class TestDecayEnvelope:
