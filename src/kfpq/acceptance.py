@@ -25,10 +25,10 @@ from .bargmann import (quotient, quotient_regime_constants, remainder_bound,
 from .biquat import Biquaternion
 from .degenerate import (F, decay_bound_degenerate, fiber_exponent,
                          fiber_norm, optimal_weight, sup_weighted)
-from .exactnorms import (optimality_witness, oscillator_norm_closed,
-                         oscillator_norm_quadrature, overlap_closed,
-                         overlap_quadrature, resolvent_bound, semigroup_norm,
-                         witness_rayleigh_numeric)
+from .exactnorms import (boosted_state_norm_quadrature, optimality_witness,
+                         oscillator_norm_closed, oscillator_norm_quadrature,
+                         overlap_closed, overlap_quadrature, resolvent_bound,
+                         semigroup_norm, witness_rayleigh_numeric)
 from .galerkin import decay_curve, subelliptic_constant
 from .positivity import NonRealDelta0, delta0, positivity_report
 from .symbols import (ModelParams, generator_hessian, hamilton_basis,
@@ -412,7 +412,8 @@ def criterion_7(seed: int = 0) -> CriterionResult:
     for s in (0.5, 1.0, 2.0):
         closed = oscillator_norm_closed(s)
         err = abs(oscillator_norm_quadrature(s) - closed) / max(1.0, closed)
-        worst_quad = max(worst_quad, err)
+        worst_quad = max(worst_quad, err,
+                         abs(boosted_state_norm_quadrature(s) - 1.0))
     scaled = []
     for log_nu in (9.0, 12.0, 16.0):
         nu = float(np.exp(log_nu))

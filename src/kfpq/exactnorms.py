@@ -324,24 +324,51 @@ class WitnessNumeric:
     grid: WitnessGrid
 
 
-def _witness_on_grid(nu: float, n: int, grid: WitnessGrid):
+def _witness_field(nu: float, n: int, grid: WitnessGrid):
+    """Grid axis xs and u = (1/L) int_0^L phi_s ds on the n x n (q, p) grid.
+
+    The slice exponent separates along the diagonals:
+    a^2 + b^2 = (e^{2s} (q+p)^2 + e^{-2s} (q-p)^2) / 2.  On the uniform grid
+    q + p at node (i, j) depends only on i + j and q - p only on i - j, and
+    both run over the same 2n - 1 points.  So with Gauss-Legendre weights w_s,
+    u[i, j] = sum_s w_s F_s[i+j] G_s[i-j+n-1] for two (2n-1) x s_nodes tables
+    F_s = exp(-e^{2s} (q+p)^2 / 4) and G_s = exp(-e^{-2s} (q-p)^2 / 4).  One
+    matrix product contracts the tables over s, and u is read off the product
+    along its (i+j, i-j) diagonals.
+    """
     big_l = np.log(nu) / 4.0
     extent = grid.extent_factor * np.exp(big_l)
     xs = np.linspace(-extent, extent, n)
-    h = xs[1] - xs[0]
-    q_grid, p_grid = np.meshgrid(xs, xs, indexing="ij")
 
     nodes, weights = np.polynomial.legendre.leggauss(grid.s_nodes)
     s_vals = 0.5 * big_l * (nodes + 1.0)
     s_weights = 0.5 * big_l * weights
 
-    u = np.zeros_like(q_grid)
-    for s, w in zip(s_vals, s_weights):
-        ch, sh = np.cosh(s), np.sinh(s)
-        a = ch * q_grid + sh * p_grid
-        b = sh * q_grid + ch * p_grid
-        u += w * np.exp(-(a * a + b * b) / 2.0)
-    u /= big_l * np.sqrt(np.pi)
+    diag = np.linspace(-2.0 * extent, 2.0 * extent, 2 * n - 1)
+    quarter_sq = 0.25 * diag * diag
+    f_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(2.0 * s_vals)))
+    g_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(-2.0 * s_vals)))
+    f_tab *= s_weights / (big_l * np.sqrt(np.pi))
+    prod = f_tab @ g_tab.T
+    # prod[k, m] sits at flat offset k (2n-1) + m, so prod[i+j, i-j+n-1] sits
+    # at i 2n + j (2n-2) + n-1: a strided view of the flat product
+    step = prod.itemsize
+    u = np.lib.stride_tricks.as_strided(
+        prod.ravel()[n - 1:], shape=(n, n),
+        strides=(2 * n * step, (2 * n - 2) * step)).copy()
+    return xs, u
+
+
+def _witness_on_grid(nu: float, xs, u):
+    """Witness quotient and squared norms from u on the grid xs x xs.
+
+    u comes from ``_witness_field``, which builds it from its separable
+    (q+p, q-p) factors.  The generator is applied with fourth-order central
+    differences, and the squared norms are summed over the interior that
+    stays four nodes clear of the zero-padded margin.
+    """
+    h = xs[1] - xs[0]
+    q_col, p_row = xs[:, None], xs[None, :]
 
     def d4(f, axis):
         # fourth-order central first derivative, zero-padded at the margin
@@ -365,8 +392,8 @@ def _witness_on_grid(nu: float, n: int, grid: WitnessGrid):
     d2u_p = d4(du_p, 1)
 
     interior = (slice(4, -4), slice(4, -4))
-    op_u = 0.5 * (p_grid * p_grid * u - d2u_p)
-    x0_u = p_grid * du_q + q_grid * du_p
+    op_u = 0.5 * (p_row * p_row * u - d2u_p)
+    x0_u = p_row * du_q + q_col * du_p
     k_u = op_u + np.sqrt(nu) * x0_u
 
     cell = h * h
@@ -383,19 +410,23 @@ def witness_rayleigh_numeric(nu: float,
 
     Builds u = (1/L) int_0^L phi_s ds by Gauss-Legendre quadrature in s on a
     uniform (q, p) grid, applies the generator with fourth-order finite
-    differences, and forms ||K u||^2 / ||u||^2.  The grid is then refined by
-    ``refine_factor``; a relative change above ``drift_tol`` raises
+    differences, and forms ||K u||^2 / ||u||^2.  Each slice factors as
+    phi_s = pi^{-1/2} exp(-e^{2s} (q+p)^2 / 4) exp(-e^{-2s} (q-p)^2 / 4), so u
+    is one contraction over s of two exponential tables on the 2n - 1 grid
+    diagonals, not s_nodes exponentials over the full grid.  The grid is then
+    refined by ``refine_factor``; a relative change above ``drift_tol`` raises
     GridUnderResolved.
     """
     if nu <= np.exp(8.0):
         raise ValueError("witness regime needs log(nu)/4 > 2")
     if grid is None:
         grid = WitnessGrid()
-    coarse_q, usq, x0sq, opsq = _witness_on_grid(nu, grid.n, grid)
+    coarse_q, usq, x0sq, opsq = _witness_on_grid(
+        nu, *_witness_field(nu, grid.n, grid))
     n_fine = int(round(grid.n * grid.refine_factor))
     if n_fine % 2 == 0:
         n_fine += 1
-    fine_q, *_ = _witness_on_grid(nu, n_fine, grid)
+    fine_q, *_ = _witness_on_grid(nu, *_witness_field(nu, n_fine, grid))
     drift = abs(fine_q / coarse_q - 1.0)
     if drift > grid.drift_tol:
         raise GridUnderResolved(

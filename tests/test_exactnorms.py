@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from kfpq.exactnorms import (GridUnderResolved, WitnessGrid,
-                             boosted_state_norm_quadrature,
+from kfpq.exactnorms import (GridUnderResolved, WitnessGrid, _witness_field,
+                             _witness_on_grid, boosted_state_norm_quadrature,
                              optimality_witness, oscillator_norm_closed,
                              oscillator_norm_quadrature, overlap_closed,
                              overlap_quadrature, resolvent_bound,
@@ -149,11 +149,49 @@ class TestOptimalityWitness:
         assert max(values) <= 9.5
 
 
+def per_node_witness_field(nu, n, grid):
+    """u summed node by node from exp(-(a^2+b^2)/2) over the full grid."""
+    big_l = np.log(nu) / 4.0
+    extent = grid.extent_factor * np.exp(big_l)
+    xs = np.linspace(-extent, extent, n)
+    q_grid, p_grid = np.meshgrid(xs, xs, indexing="ij")
+    nodes, weights = np.polynomial.legendre.leggauss(grid.s_nodes)
+    u = np.zeros_like(q_grid)
+    for s, w in zip(0.5 * big_l * (nodes + 1.0), 0.5 * big_l * weights):
+        ch, sh = np.cosh(s), np.sinh(s)
+        a = ch * q_grid + sh * p_grid
+        b = sh * q_grid + ch * p_grid
+        u += w * np.exp(-(a * a + b * b) / 2.0)
+    return xs, u / (big_l * np.sqrt(np.pi))
+
+
 class TestWitnessNumeric:
+    @pytest.mark.parametrize("n", [151, 150])
+    def test_separable_field_matches_per_node_sum(self, n):
+        nu = float(np.exp(9.0))
+        grid = WitnessGrid(n=n, s_nodes=24)
+        xs, u = _witness_field(nu, n, grid)
+        xs_ref, u_ref = per_node_witness_field(nu, n, grid)
+        assert np.array_equal(xs, xs_ref)
+        assert np.max(np.abs(u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
+        got = _witness_on_grid(nu, xs, u)
+        ref = _witness_on_grid(nu, xs_ref, u_ref)
+        for g, r in zip(got, ref):
+            assert abs(g / r - 1.0) <= 1e-12
+
     def test_grid_quotient_frozen(self):
         nu = float(np.exp(9.0))
         num = witness_rayleigh_numeric(nu)
-        assert abs(num.u_norm_sq - 0.755714) < 1e-4
+        # ||u||^2 = (1/L^2) sum_{s,s'} w_s w_s' <phi_s, phi_s'> exactly, with
+        # <phi_s, phi_s'> = 1/cosh(s - s') on the grid's Gauss-Legendre nodes
+        big_l = np.log(nu) / 4.0
+        nodes, weights = np.polynomial.legendre.leggauss(num.grid.s_nodes)
+        s_vals = 0.5 * big_l * (nodes + 1.0)
+        s_weights = 0.5 * big_l * weights
+        overlaps = np.array([[overlap_closed(a - b) for b in s_vals]
+                             for a in s_vals])
+        u_sq = s_weights @ overlaps @ s_weights / big_l ** 2
+        assert abs(num.u_norm_sq / u_sq - 1.0) < 1e-10
         assert abs(num.x0_norm_sq - 0.312578) < 1e-4
         assert abs(num.op_norm_sq - 35.4096) < 1e-2
         assert abs(num.quotient - 3970.490) < 1.0
