@@ -62,13 +62,16 @@ class NormResult:
 
     mu1 and mu2 are the eigenvalues of the conjugated flow product
     conj(kappa(t))^{-1} kappa(t); the norm equals (mu1/mu2)^{1/4} and
-    matches exp(-Argsh S(t)).
+    matches exp(-Argsh S(t)).  log_quotient is log(mu1/mu2), carried in
+    log form: past the log switch mu2 overflows to inf and the quotient
+    underflows to 0 while the norm is still a positive double.
     """
 
     t: float
     norm: float
     mu1: float
     mu2: float
+    log_quotient: float
 
 
 class ResolventBound(NamedTuple):
@@ -113,15 +116,16 @@ def semigroup_norm(t: float, nu: float) -> NormResult:
     if nu <= 0:
         raise ValueError("nu must be positive")
     if t == 0:
-        return NormResult(t=0.0, norm=1.0, mu1=1.0, mu2=1.0)
+        return NormResult(t=0.0, norm=1.0, mu1=1.0, mu2=1.0, log_quotient=0.0)
     n1, theta = _flow_data(t, nu)
     if theta > _LOG_SWITCH:
         # 2 Argsh S = u_log up to e^{-2 theta}, far below double precision
         u_log = 2.0 * (theta - np.log(n1))
-        log_mu2 = -t + u_log
+        log_mu1, log_mu2 = -t - u_log, -t + u_log
         mu2 = float(np.exp(log_mu2)) if log_mu2 <= 700.0 else float("inf")
         return NormResult(t=float(t), norm=float(np.exp(-u_log / 2)),
-                          mu1=float(np.exp(-t - u_log)), mu2=mu2)
+                          mu1=float(np.exp(log_mu1)), mu2=mu2,
+                          log_quotient=float(log_mu1 - log_mu2))
     big_c = np.cosh(theta)
     big_s = np.sinh(theta) / n1
     a_val = 1.0 + 2.0 * big_s * big_s
@@ -130,7 +134,8 @@ def semigroup_norm(t: float, nu: float) -> NormResult:
     mu2 = np.exp(-t) * (a_val + s_val)
     mu1 = np.exp(-t) / (a_val + s_val)
     norm = float(np.exp(-np.arcsinh(big_s)))
-    return NormResult(t=float(t), norm=norm, mu1=float(mu1), mu2=float(mu2))
+    return NormResult(t=float(t), norm=norm, mu1=float(mu1), mu2=float(mu2),
+                      log_quotient=float(-2.0 * np.log(a_val + s_val)))
 
 
 def resolvent_bound(nu: float, tol: float = 1e-8) -> ResolventBound:

@@ -7,6 +7,8 @@ products of one-variable ladder matrices in the Hermite basis of L^2(R^2)
 measured through their largest singular values: power iteration on the
 parity sectors, an SVD of each small degenerate fiber.  Agreement between
 these numbers and the closed forms is the main cross-check of the package.
+The subelliptic pencil is assembled sparse from the same operators and
+solved densely on each parity of m + n (see ``subelliptic_constant``).
 
 The generator K conserves a Hermite level: attracting transport
 a_q a_p^* - a_q^* a_p keeps L = m + n, repelling transport
@@ -17,7 +19,9 @@ keeping the levels L <= dims - 1 whole makes W e^{-t K} an exact
 compression of the untruncated operator.  Repelling levels are infinite
 chains; the levels |L| <= dims - 1 are kept, each cut at dims // 2 states.
 Every level is exponentiated on its own, and the even and the odd sector
-are power-iterated separately (see ``decay_curve``).
+are power-iterated separately (see ``decay_curve``).  Along a t grid, an
+exponential at 2t is the square of the one at t whenever t is on the grid,
+for the level blocks and for the stack of degenerate fibers alike.
 
 Truncation is the dominant error source.  Algebraic identities are therefore
 asserted only on interior blocks (indices whose ladder images stay below the
@@ -85,8 +89,9 @@ class IndefinitePencil(np.linalg.LinAlgError):
 class ParityNotConserved(ArithmeticError):
     """K couples two of the conserved levels a decay curve keeps (attracting:
     m + n <= dims - 1; repelling: |m - n| <= dims - 1, each cut at dims // 2
-    states), or the weight maps the even and the odd sector onto a common
-    row."""
+    states), the weight maps the even and the odd sector onto a common
+    row, or a form of the subelliptic pencil stores an entry between the
+    two parities of m + n."""
 
 
 OPERATOR_LABELS = (
@@ -293,17 +298,25 @@ def _potential_constants(params: ModelParams):
     return constants(PotentialSpec(kind="quadratic", nus=(signed,)))
 
 
-def _chained_exponentials(op: HermiteOperator, ts: Sequence[float]) -> dict:
-    """Exponentials on a grid, squaring E(t/2) whenever it is available."""
+def _chained_exponentials(gen, ts: Sequence[float]) -> dict:
+    """Exponentials e^{-t gen} on a grid, squaring E(t/2) whenever it is
+    available.
+
+    ``gen`` is a conserved-level block (a HermiteOperator, exponentiated by
+    ``semigroup_matrix``) or a dense stack of matrices (..., n, n), each
+    exponentiated and squared on its own.
+    """
     cache: dict = {}
     for t in sorted(ts):
         half = t / 2.0
         if half in cache:
             cache[t] = cache[half] @ cache[half]
-            if not np.all(np.isfinite(cache[t])):
-                raise ExpNotConverged("squaring chain overflowed at t=%g" % t)
+        elif isinstance(gen, HermiteOperator):
+            cache[t] = semigroup_matrix(gen, t)
         else:
-            cache[t] = semigroup_matrix(op, t)
+            cache[t] = scipy.linalg.expm(-t * gen)
+        if not np.all(np.isfinite(cache[t])):
+            raise ExpNotConverged("exponential chain overflowed at t=%g" % t)
     return cache
 
 
@@ -426,22 +439,27 @@ def _curve_analytic(quantity: str, params: ModelParams, t: float) -> Optional[fl
     return None
 
 
-def _fiber_matrix_sup(t: float, lambda1: float, dim: int,
-                      xi_grid: np.ndarray) -> float:
-    """sup over a xi_q grid of |xi_q| ||e^{-t (fiber of K_degenerate + 1)}||.
+def _fiber_matrix_sups(ts: Sequence[float], lambda1: float, dim: int,
+                       xi_grid: np.ndarray) -> list:
+    """sup over a xi_q grid of |xi_q| ||e^{-t (fiber of K_degenerate + 1)}||,
+    for each t of the grid ``ts``.
 
     Each fiber is the 1D non-normal matrix diag(0..dim-1) + 1 + i b x with
     b = sqrt(xi^2 + lambda1^2); its true norm is e^{-t} e^{u(t) b^2}, so
-    this doubles as a matrix-exponential validation of that formula.
+    this doubles as a matrix-exponential validation of that formula.  The
+    stack of fibers is built once and exponentiated along the t grid by
+    ``_chained_exponentials``, which squares E(t/2) where the grid has it.
     """
     x1, _, _ = _ops_1d(dim)
     base = np.diag(np.arange(dim, dtype=float)) + np.eye(dim)
     xis = xi_grid[xi_grid != 0.0]
     b = np.hypot(xis, lambda1)
     fibers = base + 1j * b[:, None, None] * x1
-    # expm takes the stack of fibers and exponentiates each one on its own
-    norms = np.linalg.norm(scipy.linalg.expm(-t * fibers), 2, axis=(1, 2))
-    return float(np.max(np.abs(xis) * norms, initial=0.0))
+    exps = _chained_exponentials(fibers, ts)
+    return [float(np.max(np.abs(xis)
+                         * np.linalg.norm(exps[t], 2, axis=(1, 2)),
+                         initial=0.0))
+            for t in ts]
 
 
 def _degenerate_curve(params: ModelParams, ts: Sequence[float],
@@ -451,12 +469,12 @@ def _degenerate_curve(params: ModelParams, ts: Sequence[float],
     xi_peak = np.sqrt(-0.5 / fiber_exponent(min(ts)))
     extent = max(12.0, 1.6 * xi_peak)
     xi_grid = np.linspace(0.0, extent, int(10 * extent) + 1)
+    oracles = _fiber_matrix_sups(ts, lam, 28, xi_grid)
+    checks = _fiber_matrix_sups(ts, lam, 20, xi_grid)
     samples = []
     drifts = []
     failed = []
-    for t in ts:
-        oracle = _fiber_matrix_sup(t, lam, 28, xi_grid)
-        check = _fiber_matrix_sup(t, lam, 20, xi_grid)
+    for t, oracle, check in zip(ts, oracles, checks):
         drift = abs(oracle / check - 1.0) if check else 0.0
         converged = drift <= _DRIFT_TOL
         if not converged:
@@ -543,10 +561,73 @@ def decay_curve(quantity_label: str, params: ModelParams,
 # subelliptic pencil
 
 
-def _bracket_weight(base: np.ndarray, scale: float) -> np.ndarray:
-    """(1 + scale * x^2)^{2/3} of a symmetric matrix, by diagonalization."""
-    w, vecs = np.linalg.eigh(base)
-    return (vecs * (1.0 + scale * w * w) ** (2.0 / 3.0)) @ vecs.T
+def _parity_weight(square: np.ndarray, scale: float) -> np.ndarray:
+    """(1 + scale * S)^{2/3} of a symmetric PSD one-variable matrix S.
+
+    S (q^2, or -d_q^2) couples only levels of equal parity, so it is
+    diagonalized on the even and on the odd levels separately and the
+    entries between the two stay exactly zero.
+    """
+    out = np.zeros_like(square)
+    for parity in (0, 1):
+        levels = np.arange(parity, len(square), 2)
+        block = np.ix_(levels, levels)
+        w, vecs = np.linalg.eigh(square[block])
+        out[block] = (vecs * (1.0 + scale * np.maximum(w, 0.0)) ** (2.0 / 3.0)
+                      ) @ vecs.T
+    return out
+
+
+def _pencil_forms(params: ModelParams, dims: int):
+    """The two quadratic forms of the subelliptic pencil, sparse, on the
+    dims x dims interior of a (dims+2)-level assembly, with the parity of
+    m + n of each interior state: (left, right, parity)."""
+    big = dims + 2
+    qq, dq1, _ = _ops_1d(big)
+    gen, osc_p, x = (build(label, params, big, big).matrix
+                     for label in ("K", "O_p", "X"))
+    transport = np.sqrt(params.nu) * x
+    big_a = _potential_constants(params).a
+    # <grad V>^{4/3} and <D_q>^{4/3} on the q factor
+    weights = (_parity_weight(qq @ qq, params.nu)
+               + _parity_weight(-dq1 @ dq1, 1.0))
+
+    left = gen.T @ gen + big_a * scipy.sparse.eye_array(big * big)
+    right = (osc_p.T @ osc_p + transport.T @ transport
+             + scipy.sparse.kron(scipy.sparse.csr_array(weights),
+                                 scipy.sparse.eye_array(big)))
+    idx = interior_indices(big, big, 2)
+    left, right = (form[np.ix_(idx, idx)] for form in (left, right))
+    m, n = np.divmod(idx, big)
+    return left, right, (m + n) % 2
+
+
+def _sector_pencil_minimum(left, right, parity: np.ndarray) -> float:
+    """Smallest generalized eigenvalue of the symmetric pencil (left, right)
+    whose stored patterns keep the sectors ``parity`` apart.
+
+    Raises ParityNotConserved if either form stores an entry between two
+    sectors, and IndefinitePencil if the factorization of a ``right`` block
+    inside the generalized ``eigh`` finds it not positive definite.
+    """
+    for form in (left, right):
+        coo = form.tocoo()
+        if np.any(parity[coo.row] != parity[coo.col]):
+            raise ParityNotConserved("the subelliptic pencil couples the "
+                                     "two parity sectors of m + n")
+    lowest = []
+    for sector in np.unique(parity):
+        block = np.ix_(parity == sector, parity == sector)
+        a, b = (form[block].toarray() for form in (left, right))
+        try:
+            eigenvalues = scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T),
+                                            eigvals_only=True,
+                                            subset_by_index=(0, 0))
+        except np.linalg.LinAlgError as exc:
+            raise IndefinitePencil(
+                "weight Gram not positive definite") from exc
+        lowest.append(eigenvalues[0])
+    return float(min(lowest))
 
 
 def subelliptic_constant(params: ModelParams, dims: int = 16) -> float:
@@ -559,38 +640,16 @@ def subelliptic_constant(params: ModelParams, dims: int = 16) -> float:
                                       + ||<grad V>^{2/3} u||^2
                                       + ||<D_q>^{2/3} u||^2 ).
 
-    Fractional powers are taken on eigenvalues of the (normal) weight
-    operators.  The assembly margin keeps ladder spill-over of the quadratic
-    forms out of the restricted block.
+    Both forms are assembled sparse from the CSR operators and Kronecker
+    factors.  The fractional powers are taken on eigenvalues of q^2 and
+    -d_q^2, each diagonalized on even and odd q-levels separately.  Every
+    term conserves the parity of m + n, so the pencil is solved as two
+    half-size dense pencils, one per parity, and the smaller lowest
+    eigenvalue is returned.  ParityNotConserved is raised if a form stores
+    an entry between the two sectors, IndefinitePencil if the right-hand
+    Gram is not positive definite.  The assembly margin keeps ladder
+    spill-over of the quadratic forms out of the restricted block.
     """
     if dims < 8:
         raise ValueError("pencil needs at least 8 levels per direction")
-    big = dims + 2
-    qq, dq1, _ = _ops_1d(big)
-    eye_p = np.eye(big)
-
-    gen, osc_p, x = (build(label, params, big, big).matrix.toarray()
-                     for label in ("K", "O_p", "X"))
-    transport = np.sqrt(params.nu) * x
-    big_a = _potential_constants(params).a
-
-    grad_sq = _bracket_weight(qq, params.nu)      # <grad V>^{4/3} on the q factor
-    # D_q^2 = -(skew derivative)^2 is symmetric PSD; weight it on eigenvalues
-    w, vecs = np.linalg.eigh(-dq1 @ dq1)
-    deriv_sq = (vecs * (1.0 + np.maximum(w, 0.0)) ** (2.0 / 3.0)) @ vecs.T
-
-    left = gen.T @ gen + big_a * np.eye(big * big)
-    right = (osc_p.T @ osc_p + transport.T @ transport
-             + np.kron(grad_sq, eye_p) + np.kron(deriv_sq, eye_p))
-
-    idx = interior_indices(big, big, 2)
-    left = left[np.ix_(idx, idx)]
-    right = right[np.ix_(idx, idx)]
-    left = 0.5 * (left + left.T)
-    right = 0.5 * (right + right.T)
-    try:
-        np.linalg.cholesky(right)
-    except np.linalg.LinAlgError as exc:
-        raise IndefinitePencil("weight Gram not positive definite") from exc
-    eigenvalues = scipy.linalg.eigh(left, right, eigvals_only=True)
-    return float(eigenvalues[0])
+    return _sector_pencil_minimum(*_pencil_forms(params, dims))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from kfpq.acceptance import sweep_norms
 from kfpq.exactnorms import (GridUnderResolved, WitnessGrid, _witness_field,
                              _witness_on_grid, boosted_state_norm_quadrature,
                              optimality_witness, oscillator_norm_closed,
@@ -59,6 +60,29 @@ class TestSemigroupNorm:
         hi = semigroup_norm(t_star * (1 + 1e-9), nu)
         # the two branches agree up to the genuine derivative scale
         assert abs(hi.norm / lo.norm - 1.0) < 1e-6
+
+    @pytest.mark.parametrize("t", [2.54, 3.84, 5.80])
+    def test_eigenvalue_route_past_the_double_range(self, t):
+        # at nu = 1e4 the quotient mu1 / mu2 underflows (and from t = 3.84
+        # mu2 overflows) while the norm is still positive; the route is
+        # carried by the log form of the quotient
+        res = semigroup_norm(t, 1e4)
+        assert res.mu1 / res.mu2 == 0.0
+        _, rows = sweep_norms((1e4,), (t,))
+        _, _, analytic, _, oracle, rel, ok = rows[0]
+        assert analytic == res.norm > 0.0
+        assert oracle > 0.0
+        assert rel <= 1e-12
+        assert ok
+
+    def test_log_quotient_matches_the_quotient(self):
+        # up to t = 1.58, past the log switch at nu = 1e4, mu1 / mu2 is
+        # still a positive double
+        for nu in (1.0, 1e4):
+            for t in np.logspace(-3, 0.2, 12):
+                res = semigroup_norm(float(t), nu)
+                assert res.log_quotient == pytest.approx(
+                    np.log(res.mu1 / res.mu2), rel=1e-13, abs=1e-13)
 
     def test_extreme_time_does_not_overflow(self):
         res = semigroup_norm(20.0, 1e8)

@@ -326,6 +326,25 @@ class TestDecayCurves:
             assert s.converged
             assert s.oracle <= s.bound
 
+    @pytest.mark.parametrize("dim", [20, 28])
+    @pytest.mark.parametrize("lambda1", [0.0, 1.0, 10.0])
+    # (0.5, 1, 2) squares E(0.5) and E(1); (0.3, 0.7) has no halving, so
+    # every t takes the direct exponential
+    @pytest.mark.parametrize("ts", [(0.5, 1.0, 2.0), (0.3, 0.7)])
+    def test_fiber_chain_matches_direct_expm(self, dim, lambda1, ts):
+        xi_grid = np.linspace(0.0, 12.0, 121)
+        x1 = (ladder(dim) + ladder(dim).T) / np.sqrt(2.0)
+        base = np.diag(np.arange(dim, dtype=float)) + np.eye(dim)
+        xis = xi_grid[1:]
+        direct = []
+        for t in ts:
+            norms = [np.linalg.norm(scipy.linalg.expm(
+                -t * (base + 1j * np.hypot(xi, lambda1) * x1)), 2)
+                for xi in xis]
+            direct.append(float(np.max(xis * norms)))
+        chained = galerkin._fiber_matrix_sups(ts, lambda1, dim, xi_grid)
+        assert chained == pytest.approx(direct, rel=1e-14)
+
     def test_degenerate_fiber_curve(self):
         curve = decay_curve("degenerate_fiber", ModelParams(0.0, 0.0, 1.0),
                             (0.5, 1.0), dims=48, strict=False)
@@ -384,7 +403,73 @@ FROZEN_PENCIL = {
 }
 
 
+def _dense_pencil_reference(params, dims):
+    """The pencil on the whole dims x dims interior, from dense operators at
+    dims + 2 and fractional weights on the eigenvalues of q and -d_q^2."""
+    big = dims + 2
+    a = ladder(big)
+    qq = (a + a.T) / np.sqrt(2.0)
+    dq1 = (a - a.T) / np.sqrt(2.0)
+    eye_p = np.eye(big)
+    gen, osc_p, x = (build(label, params, big, big).matrix.toarray()
+                     for label in ("K", "O_p", "X"))
+    transport = np.sqrt(params.nu) * x
+    big_a = galerkin._potential_constants(params).a
+    w, vecs = np.linalg.eigh(qq)
+    grad_sq = (vecs * (1.0 + params.nu * w * w) ** (2.0 / 3.0)) @ vecs.T
+    w, vecs = np.linalg.eigh(-dq1 @ dq1)
+    deriv_sq = (vecs * (1.0 + np.maximum(w, 0.0)) ** (2.0 / 3.0)) @ vecs.T
+    left = gen.T @ gen + big_a * np.eye(big * big)
+    right = (osc_p.T @ osc_p + transport.T @ transport
+             + np.kron(grad_sq, eye_p) + np.kron(deriv_sq, eye_p))
+    idx = interior_indices(big, big, 2)
+    left = left[np.ix_(idx, idx)]
+    right = right[np.ix_(idx, idx)]
+    return float(scipy.linalg.eigh(0.5 * (left + left.T),
+                                   0.5 * (right + right.T),
+                                   eigvals_only=True)[0])
+
+
 class TestSubellipticConstant:
+    @pytest.mark.parametrize("dims", [8, 12, 16])
+    @pytest.mark.parametrize("nu", [1e-2, 1.0, 100.0, 1e4])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_parity_split_matches_dense_pencil(self, dims, nu, alpha):
+        params = ModelParams(nu, alpha)
+        c = subelliptic_constant(params, dims=dims)
+        assert c == pytest.approx(_dense_pencil_reference(params, dims),
+                                  rel=1e-12)
+        # the sparse forms store no entry between the two parities of m + n
+        left, right, parity = galerkin._pencil_forms(params, dims)
+        assert sorted(np.unique(parity)) == [0, 1]
+        for form in (left, right):
+            coo = form.tocoo()
+            assert np.array_equal(parity[coo.row], parity[coo.col])
+
+    def test_indefinite_right_hand_gram_raises(self):
+        parity = np.array([0, 1, 0, 1])
+        left = scipy.sparse.csr_array(np.eye(4))
+        right = scipy.sparse.csr_array(np.diag([1.0, 2.0, -1.0, 3.0]))
+        with pytest.raises(galerkin.IndefinitePencil):
+            galerkin._sector_pencil_minimum(left, right, parity)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_cross_sector_entry_raises(self, side):
+        parity = np.array([0, 1, 0, 1])
+        forms = {"left": np.eye(4), "right": np.diag([1.0, 2.0, 3.0, 4.0])}
+        # one stored entry between an even and an odd state
+        forms[side][0, 1] = 0.25
+        with pytest.raises(ParityNotConserved):
+            galerkin._sector_pencil_minimum(
+                scipy.sparse.csr_array(forms["left"]),
+                scipy.sparse.csr_array(forms["right"]), parity)
+
+    def test_sector_minimum_is_the_lower_sector(self):
+        parity = np.array([0, 1, 0, 1])
+        left = scipy.sparse.csr_array(np.diag([3.0, 1.0, 4.0, 2.0]))
+        right = scipy.sparse.csr_array(np.eye(4))
+        assert galerkin._sector_pencil_minimum(left, right, parity) == 1.0
+
     @pytest.mark.parametrize("nu,alpha,dims", sorted(FROZEN_PENCIL))
     def test_frozen_values(self, nu, alpha, dims):
         c = subelliptic_constant(ModelParams(nu, alpha), dims=dims)
