@@ -4,9 +4,10 @@ Everything here is deliberately different from the closed-form modules: the
 generator and the weight operators are assembled as sparse sums of Kronecker
 products of one-variable ladder matrices in the Hermite basis of L^2(R^2)
 (see ``build``), exponentiated on the levels the generator conserves, and
-measured through their largest singular values: power iteration on the
-parity sectors, an SVD of each small degenerate fiber.  Agreement between
-these numbers and the closed forms is the main cross-check of the package.
+measured through their largest singular values: one ARPACK Lanczos run on
+each parity sector (see ``operator_norm``), an SVD of each small degenerate
+fiber.  Agreement between these numbers and the closed forms is the main
+cross-check of the package.
 The subelliptic pencil is assembled sparse from the same operators and
 solved densely on each parity of m + n (see ``subelliptic_constant``).
 
@@ -18,8 +19,8 @@ by the (m, n) box.  Attracting levels are finite chains of L + 1 states;
 keeping the levels L <= dims - 1 whole makes W e^{-t K} an exact
 compression of the untruncated operator.  Repelling levels are infinite
 chains; the levels |L| <= dims - 1 are kept, each cut at dims // 2 states.
-Every level is exponentiated on its own, and the even and the odd sector
-are power-iterated separately (see ``decay_curve``).  Along a t grid, an
+Every level is exponentiated on its own, and the norms of the even and the
+odd sector are taken separately (see ``decay_curve``).  Along a t grid, an
 exponential at 2t is the square of the one at t whenever t is on the grid,
 for the level blocks and for the stack of degenerate fibers alike.
 
@@ -36,6 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from .bargmann import remainder_bound
 from .degenerate import fiber_exponent, sup_weighted
@@ -46,11 +48,10 @@ from .symbols import ModelParams, PotentialSpec, constants
 __all__ = [
     "UnknownLabel",
     "ExpNotConverged",
-    "PowerIterationStalled",
+    "NormNotConverged",
     "TruncationNotConverged",
     "IndefinitePencil",
     "ParityNotConserved",
-    "HermiteOperator",
     "CurveSample",
     "ConvergenceMeta",
     "DecayCurve",
@@ -74,8 +75,8 @@ class ExpNotConverged(ArithmeticError):
     """Matrix exponential returned non-finite entries."""
 
 
-class PowerIterationStalled(ArithmeticError):
-    """Singular-value power iteration hit its iteration cap."""
+class NormNotConverged(ArithmeticError):
+    """ARPACK stopped before the largest singular value converged."""
 
 
 class TruncationNotConverged(ArithmeticError):
@@ -95,8 +96,7 @@ class ParityNotConserved(ArithmeticError):
 
 
 OPERATOR_LABELS = (
-    "O_p", "O_q", "X", "Y", "K", "K_degenerate",
-    "a_q", "a_q_star", "D_q", "grad_V", "weight_q",
+    "O_p", "X", "Y", "K", "a_q_star", "D_q", "grad_V", "weight_q",
 )
 
 CURVE_QUANTITIES = (
@@ -108,27 +108,7 @@ CURVE_QUANTITIES = (
     "degenerate_fiber",
 )
 
-_POWER_TOL = 1e-10   # relative change at which power iteration stops
-_MAX_ITER = 20000    # power iterations before PowerIterationStalled
 _DRIFT_TOL = 0.01    # largest relative drift between the two truncations
-
-
-@dataclass(frozen=True, eq=False)
-class HermiteOperator:
-    """CSR matrix of one model operator on the truncated Hermite basis.
-
-    The flattened index is m * dim_p + n with m the q-level and n the
-    p-level.  A conserved-level block of K keeps the dims of its assembly
-    and holds only the states of that level, in flattened order.  A decay
-    curve at ``dims`` assembles its box at dims + 1 (attracting, which holds
-    the levels m + n <= dims - 1) or dims + dims // 2 (repelling, which
-    holds the levels |m - n| <= dims - 1 cut at dims // 2 states each).
-    """
-
-    dim_q: int
-    dim_p: int
-    matrix: scipy.sparse.csr_array
-    label: str
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -164,7 +144,7 @@ def interior_indices(dim_q: int, dim_p: int, margin: int) -> np.ndarray:
 def _kron_terms(label: str, params: ModelParams, dim_q: int, dim_p: int):
     """(q-factor, p-factor, coefficient) terms whose Kronecker products sum
     to the operator ``label``."""
-    qq, dq1, num_q = _ops_1d(dim_q)
+    qq, dq1, _ = _ops_1d(dim_q)
     pp, dp1, num_p = _ops_1d(dim_p)
     eye_q, eye_p = np.eye(dim_q), np.eye(dim_p)
     sign = 1.0 if params.alpha > 0 else -1.0
@@ -173,14 +153,10 @@ def _kron_terms(label: str, params: ModelParams, dim_q: int, dim_p: int):
     transport = ((dq1, pp, 1.0), (qq, dp1, -sign))
     table = {
         "O_p": ((eye_q, num_p, 1.0),),
-        "O_q": ((num_q, eye_p, 1.0),),
         "X": transport,
         "Y": ((dq1, dp1, -1.0), (qq, pp, sign)),
         "K": ((eye_q, num_p, 1.0),)
              + tuple((q, p, root_nu * c) for q, p, c in transport),
-        "K_degenerate": ((dq1, pp, 1.0), (eye_q, dp1, -params.lambda1),
-                         (eye_q, num_p, 1.0), (eye_q, eye_p, -0.5)),
-        "a_q": ((ladder(dim_q), eye_p, 1.0),),
         "a_q_star": ((ladder(dim_q).T, eye_p, 1.0),),
         "D_q": ((dq1, eye_p, 1.0),),
         "grad_V": ((qq, eye_p, sign * root_nu),),
@@ -190,16 +166,19 @@ def _kron_terms(label: str, params: ModelParams, dim_q: int, dim_p: int):
     return table[label]
 
 
-def build(label: str, params: ModelParams, dim_q: int, dim_p: int) -> HermiteOperator:
+def build(label: str, params: ModelParams, dim_q: int,
+          dim_p: int) -> scipy.sparse.csr_array:
     """Assemble one operator as a CSR sum of Kronecker products.
 
-    Supported labels: O_p, O_q (oscillators), X (transport at unit
-    curvature scale, multiplied by sqrt(nu) inside K), Y (commutator partner
-    of O_p and X), K (full quadratic generator), K_degenerate (linear
-    potential, includes the -1/2 shift), a_q / a_q_star (q-ladder), D_q
-    (the q-derivative; its matrix is the skew form of i D_q, which has the
-    same norms), grad_V (multiplication by the potential gradient), and
-    weight_q (the diagonal square root of nu O_q).
+    The flattened index is m * dim_p + n with m the q-level and n the
+    p-level.
+
+    Supported labels: O_p (p-oscillator), X (transport at unit curvature
+    scale, multiplied by sqrt(nu) inside K), Y (commutator partner of O_p
+    and X), K (full quadratic generator), a_q_star (q-creation), D_q (the
+    q-derivative; its matrix is the skew form of i D_q, which has the same
+    norms), grad_V (multiplication by the potential gradient), and weight_q
+    (the diagonal square root of nu (m + 1/2), m the q-level).
 
     Each operator is a short table of (q-factor, p-factor, coefficient)
     terms on the one-variable ladder matrices, summed as sparse
@@ -218,43 +197,42 @@ def build(label: str, params: ModelParams, dim_q: int, dim_p: int) -> HermiteOpe
                  for q_factor, p_factor, coefficient
                  in _kron_terms(label, params, dim_q, dim_p))
     matrix.eliminate_zeros()
-    return HermiteOperator(dim_q, dim_p, matrix, label)
+    return matrix
 
 
-def semigroup_matrix(op: HermiteOperator, t: float) -> np.ndarray:
-    """Dense e^{-t M} of a conserved-level block M; raises if non-finite."""
+def semigroup_matrix(gen: np.ndarray, t: float) -> np.ndarray:
+    """e^{-t M} of a dense matrix M, or of each matrix of a stack
+    (..., n, n); raises if non-finite."""
     if t < 0:
         raise ValueError("t must be nonnegative")
-    result = scipy.linalg.expm(-t * op.matrix.toarray())
+    result = scipy.linalg.expm(-t * gen)
     if not np.all(np.isfinite(result)):
-        raise ExpNotConverged("exponential of %s at t=%g overflowed"
-                              % (op.label, t))
+        raise ExpNotConverged("exponential at t=%g overflowed" % t)
     return result
 
 
 def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value by power iteration on m* m.
+    """Largest singular value: the top eigenvalue of m* m, from one ARPACK
+    Lanczos run to machine precision on the products m* (m x).
 
     The start vector is deterministic (flat with a bumped first entry) so
-    repeated runs agree bit for bit.
+    repeated runs agree bit for bit.  ARPACK needs at least two columns
+    (three when m is complex) and a nonzero m; NormNotConverged is raised
+    when it stops without converging.
     """
     n = m.shape[1]
-    v = np.ones(n) / np.sqrt(n)
-    v[0] += 0.5
-    v /= np.linalg.norm(v)
+    v0 = np.ones(n) / np.sqrt(n)
+    v0[0] += 0.5
     mh = m.conj().T
-    s_old = 0.0
-    for _ in range(_MAX_ITER):
-        w = mh @ (m @ v)
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        s = float(np.sqrt(nw))
-        v = w / nw
-        if abs(s - s_old) <= _POWER_TOL * max(1.0, s):
-            return s
-        s_old = s
-    raise PowerIterationStalled("no convergence in %d iterations" % _MAX_ITER)
+    gram = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=lambda x: mh @ (m @ x),
+        dtype=np.result_type(m.dtype, float))
+    try:
+        top = scipy.sparse.linalg.eigsh(gram, k=1, which="LA", v0=v0, tol=0,
+                                        return_eigenvectors=False)
+    except scipy.sparse.linalg.ArpackError as exc:
+        raise NormNotConverged("largest singular value: %s" % exc) from exc
+    return float(np.sqrt(top[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -302,19 +280,16 @@ def _chained_exponentials(gen, ts: Sequence[float]) -> dict:
     """Exponentials e^{-t gen} on a grid, squaring E(t/2) whenever it is
     available.
 
-    ``gen`` is a conserved-level block (a HermiteOperator, exponentiated by
-    ``semigroup_matrix``) or a dense stack of matrices (..., n, n), each
-    exponentiated and squared on its own.
+    ``gen`` is a dense conserved-level block or a stack of matrices
+    (..., n, n), each exponentiated and squared on its own.
     """
     cache: dict = {}
     for t in sorted(ts):
         half = t / 2.0
         if half in cache:
             cache[t] = cache[half] @ cache[half]
-        elif isinstance(gen, HermiteOperator):
-            cache[t] = semigroup_matrix(gen, t)
         else:
-            cache[t] = scipy.linalg.expm(-t * gen)
+            cache[t] = semigroup_matrix(gen, t)
         if not np.all(np.isfinite(cache[t])):
             raise ExpNotConverged("exponential chain overflowed at t=%g" % t)
     return cache
@@ -344,19 +319,17 @@ def _conserved_levels(params: ModelParams, dims: int) -> tuple:
     return size, levels
 
 
-def _sector_exponentials(gen: HermiteOperator, idx: np.ndarray,
+def _sector_exponentials(gen: scipy.sparse.csr_array, idx: np.ndarray,
                          blocks: list, ts: Sequence[float]):
     """Yield e^{-t K} on the sector ``idx`` for each t of the sorted grid
     ``ts``, assembled from the exponentials of the ``blocks`` it holds.
 
-    Each block is exponentiated and squared along the grid on its own.
+    Each block is densified once, then exponentiated and squared along the
+    grid on its own.
     """
     where = [np.searchsorted(idx, states) for states in blocks]
-    chains = [_chained_exponentials(
-        HermiteOperator(dim_q=gen.dim_q, dim_p=gen.dim_p,
-                        matrix=gen.matrix[np.ix_(states, states)],
-                        label="%s[block %d]" % (gen.label, k)), ts)
-        for k, states in enumerate(blocks)]
+    chains = [_chained_exponentials(gen[np.ix_(states, states)].toarray(), ts)
+              for states in blocks]
     for t in ts:
         et = np.zeros((len(idx), len(idx)))
         for pos, chain in zip(where, chains):
@@ -376,25 +349,25 @@ def _weighted_norm_values(quantity: str, params: ModelParams,
         weight = scipy.sparse.eye_array(size * size, format="csr")
         shift = 0.0
     elif quantity == "derivative_weight":
-        weight = root_nu * build("D_q", params, size, size).matrix
+        weight = root_nu * build("D_q", params, size, size)
         shift = np.sqrt(_potential_constants(params).a)
     elif quantity == "gradient_weight":
-        weight = build("grad_V", params, size, size).matrix
+        weight = build("grad_V", params, size, size)
         shift = np.sqrt(_potential_constants(params).a)
     elif quantity == "position_weight":
-        weight = build("weight_q", params, size, size).matrix
+        weight = build("weight_q", params, size, size)
         shift = root_nu
     elif quantity == "creation_weight":
-        weight = root_nu * build("a_q_star", params, size, size).matrix
+        weight = root_nu * build("a_q_star", params, size, size)
         shift = params.nu ** (1.0 / 3.0)
     else:
         raise UnknownLabel("no matrix curve for %r" % (quantity,))
     every = levels[0] + levels[1]
     kept = np.concatenate(every)
     owner = np.repeat(np.arange(len(every)), [len(states) for states in every])
-    coupling = gen.matrix[np.ix_(kept, kept)].tocoo()
+    coupling = gen[np.ix_(kept, kept)].tocoo()
     if np.any(owner[coupling.row] != owner[coupling.col]):
-        raise ParityNotConserved("%s couples two kept levels" % gen.label)
+        raise ParityNotConserved("K couples two kept levels")
     values = [0.0] * len(ts)
     reached = np.zeros(0, dtype=int)
     for blocks in levels:
@@ -413,36 +386,43 @@ def _weighted_norm_values(quantity: str, params: ModelParams,
     return values
 
 
-def _curve_bound(quantity: str, params: ModelParams, t: float) -> Optional[float]:
+def _curve_bound(quantity: str, params: ModelParams, t: float) -> float:
     if quantity == "evolution_norm":
         return 1.0
     if quantity == "position_weight":
         return position_weight_decay_bound(t, params)
     if quantity == "creation_weight":
         return remainder_bound(t, params)
-    if quantity in ("derivative_weight", "gradient_weight"):
-        big_a = _potential_constants(params).a
-        root_a = np.sqrt(big_a)
-        root_nu = np.sqrt(params.nu)
-        routes = [np.sqrt(2.0) * position_weight_decay_bound(t, params)
-                  * np.exp(t * (root_nu - root_a))]
-        if params.alpha > 0 and params.nu > 1:
-            routes.append(np.sqrt(2.0) * remainder_bound(t, params)
-                          * np.exp(t * (params.nu ** (1.0 / 3.0) - root_a)))
-        return float(min(routes))
-    return None
+    if quantity == "degenerate_fiber":
+        return float(np.sqrt(sup_weighted(t, params.lambda1)) * np.exp(-t))
+    # derivative_weight and gradient_weight
+    big_a = _potential_constants(params).a
+    root_a = np.sqrt(big_a)
+    root_nu = np.sqrt(params.nu)
+    routes = [np.sqrt(2.0) * position_weight_decay_bound(t, params)
+              * np.exp(t * (root_nu - root_a))]
+    if params.alpha > 0 and params.nu > 1:
+        routes.append(np.sqrt(2.0) * remainder_bound(t, params)
+                      * np.exp(t * (params.nu ** (1.0 / 3.0) - root_a)))
+    return float(min(routes))
 
 
 def _curve_analytic(quantity: str, params: ModelParams, t: float) -> Optional[float]:
     if quantity == "evolution_norm" and params.alpha == 0:
         return semigroup_norm(t, params.nu).norm
+    if quantity == "degenerate_fiber":
+        lam = params.lambda1
+        u = fiber_exponent(t)
+        # continuous sup of |xi| e^{-t} e^{u (xi^2 + lam^2)} at xi^2 = -1/(2u)
+        return float(np.exp(-t) * np.exp(u * lam * lam)
+                     * np.sqrt(-0.5 / u) * np.exp(-0.5))
     return None
 
 
 def _fiber_matrix_sups(ts: Sequence[float], lambda1: float, dim: int,
                        xi_grid: np.ndarray) -> list:
-    """sup over a xi_q grid of |xi_q| ||e^{-t (fiber of K_degenerate + 1)}||,
-    for each t of the grid ``ts``.
+    """sup over a xi_q grid of |xi_q| ||e^{-t F}||, F the xi_q fiber of the
+    linear-potential generator shifted by 1, for each t of the grid ``ts``.
 
     Each fiber is the 1D non-normal matrix diag(0..dim-1) + 1 + i b x with
     b = sqrt(xi^2 + lambda1^2); its true norm is e^{-t} e^{u(t) b^2}, so
@@ -462,41 +442,6 @@ def _fiber_matrix_sups(ts: Sequence[float], lambda1: float, dim: int,
             for t in ts]
 
 
-def _degenerate_curve(params: ModelParams, ts: Sequence[float],
-                      strict: bool) -> DecayCurve:
-    lam = params.lambda1
-    # the |xi| profile peaks at xi^2 = -1/(2u); keep the peak well inside
-    xi_peak = np.sqrt(-0.5 / fiber_exponent(min(ts)))
-    extent = max(12.0, 1.6 * xi_peak)
-    xi_grid = np.linspace(0.0, extent, int(10 * extent) + 1)
-    oracles = _fiber_matrix_sups(ts, lam, 28, xi_grid)
-    checks = _fiber_matrix_sups(ts, lam, 20, xi_grid)
-    samples = []
-    drifts = []
-    failed = []
-    for t, oracle, check in zip(ts, oracles, checks):
-        drift = abs(oracle / check - 1.0) if check else 0.0
-        converged = drift <= _DRIFT_TOL
-        if not converged:
-            failed.append(t)
-        u = fiber_exponent(t)
-        # continuous sup of |xi| e^{-t} e^{u (xi^2 + lam^2)} at xi^2 = -1/(2u)
-        analytic = float(np.exp(-t) * np.exp(u * lam * lam)
-                         * np.sqrt(-0.5 / u) * np.exp(-0.5))
-        bound = float(np.sqrt(sup_weighted(t, lam)) * np.exp(-t))
-        samples.append(CurveSample(t=float(t), analytic=analytic, bound=bound,
-                                   oracle=oracle, rel_discrepancy=float(drift),
-                                   converged=converged))
-        drifts.append(float(drift))
-    if failed and strict:
-        raise TruncationNotConverged(
-            "fiber truncation drift above %g at t=%s" % (_DRIFT_TOL, failed))
-    meta = ConvergenceMeta(levels=(28, 20), drift_tol=_DRIFT_TOL,
-                           drifts=tuple(drifts))
-    return DecayCurve(quantity_label="degenerate_fiber", samples=tuple(samples),
-                      convergence_meta=meta)
-
-
 def decay_curve(quantity_label: str, params: ModelParams,
                 t_grid: Sequence[float], dims: int = 64,
                 strict: bool = True) -> DecayCurve:
@@ -505,9 +450,10 @@ def decay_curve(quantity_label: str, params: ModelParams,
     Each sample pairs the Galerkin value e^{-t shift} ||W e^{-t K}|| with the
     closed-form value (when one exists) and the analytic bound from the
     other modules.  The whole grid is recomputed at three quarters of the
-    requested truncation; a relative change above ``_DRIFT_TOL`` (1%) marks
-    the sample unconverged and, when ``strict``, raises TruncationNotConverged.
-    Flagged samples are still reported, never dropped.
+    requested truncation; a relative change above ``_DRIFT_TOL`` (1%), or
+    any change from a zero check value, marks the sample unconverged and,
+    when ``strict``, raises TruncationNotConverged.  Flagged samples are
+    still reported, never dropped.
 
     The matrix curves keep whole conserved levels of K (see the module
     docstring), read off the index map: L = m + n <= dims - 1 when
@@ -521,6 +467,9 @@ def decay_curve(quantity_label: str, params: ModelParams,
     reaches; ParityNotConserved is raised if the two sectors reach a common
     row.  So W e^{-t K} is block diagonal over the sectors, and its norm is
     the larger of the two sector-block norms.
+
+    The degenerate fiber ignores ``dims``: its sup over xi_q is taken on
+    fibers of 28 levels and checked on fibers of 20.
     """
     if quantity_label not in CURVE_QUANTITIES:
         raise UnknownLabel("no curve quantity %r" % (quantity_label,))
@@ -528,10 +477,18 @@ def decay_curve(quantity_label: str, params: ModelParams,
     if not ts or ts[0] <= 0:
         raise ValueError("t grid must be positive")
     if quantity_label == "degenerate_fiber":
-        return _degenerate_curve(params, ts, strict)
-    low = max(8, (3 * dims) // 4)
-    main_vals = _weighted_norm_values(quantity_label, params, ts, dims)
-    check_vals = _weighted_norm_values(quantity_label, params, ts, low)
+        # the |xi| profile peaks at xi^2 = -1/(2u); keep the peak well inside
+        extent = max(12.0, 1.6 * np.sqrt(-0.5 / fiber_exponent(ts[0])))
+        xi_grid = np.linspace(0.0, extent, int(10 * extent) + 1)
+        levels = (28, 20)
+        main_vals, check_vals = (
+            _fiber_matrix_sups(ts, params.lambda1, dim, xi_grid)
+            for dim in levels)
+    else:
+        levels = (dims, max(8, (3 * dims) // 4))
+        main_vals, check_vals = (
+            _weighted_norm_values(quantity_label, params, ts, level)
+            for level in levels)
     samples = []
     drifts = []
     failed = []
@@ -540,7 +497,7 @@ def decay_curve(quantity_label: str, params: ModelParams,
         converged = drift <= _DRIFT_TOL
         if not converged:
             failed.append(t)
-        samples.append(CurveSample(t=float(t),
+        samples.append(CurveSample(t=t,
                                    analytic=_curve_analytic(quantity_label, params, t),
                                    bound=_curve_bound(quantity_label, params, t),
                                    oracle=float(val),
@@ -549,9 +506,9 @@ def decay_curve(quantity_label: str, params: ModelParams,
         drifts.append(float(drift))
     if failed and strict:
         raise TruncationNotConverged(
-            "truncation drift above %g at t=%s (dims %d vs %d)"
-            % (_DRIFT_TOL, failed, dims, low))
-    meta = ConvergenceMeta(levels=(dims, low), drift_tol=_DRIFT_TOL,
+            "%s truncation drift above %g at t=%s (levels %d vs %d)"
+            % ((quantity_label, _DRIFT_TOL, failed) + levels))
+    meta = ConvergenceMeta(levels=levels, drift_tol=_DRIFT_TOL,
                            drifts=tuple(drifts))
     return DecayCurve(quantity_label=quantity_label, samples=tuple(samples),
                       convergence_meta=meta)
@@ -584,7 +541,7 @@ def _pencil_forms(params: ModelParams, dims: int):
     m + n of each interior state: (left, right, parity)."""
     big = dims + 2
     qq, dq1, _ = _ops_1d(big)
-    gen, osc_p, x = (build(label, params, big, big).matrix
+    gen, osc_p, x = (build(label, params, big, big)
                      for label in ("K", "O_p", "X"))
     transport = np.sqrt(params.nu) * x
     big_a = _potential_constants(params).a

@@ -4,7 +4,9 @@ import argparse
 import dataclasses
 import json
 
+import numpy as np
 import pytest
+import scipy.sparse.linalg
 
 from kfpq import acceptance
 from kfpq.cli import ConfigError, _build_parser, main
@@ -183,6 +185,19 @@ class TestErrorExits:
                                   "--out", str(tmp_path / "w.csv")])
         assert rc == 3
         assert "GridUnderResolved" in err
+
+    def test_norm_not_converged_is_exit_3(self, capsys, tmp_path,
+                                          monkeypatch):
+        # criterion 5 reaches the Galerkin norms, whose ARPACK run stalls
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(0), np.zeros(0))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        rc, _, err = run(capsys, ["verify-all", "--criteria", "5",
+                                  "--out", str(tmp_path / "v.txt")])
+        assert rc == 3
+        assert "NormNotConverged" in err
 
     @pytest.mark.parametrize("command", ["delta0", "positivity"])
     @pytest.mark.parametrize("nu", ["5000", "1e4", "1e6"])

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
+import scipy.sparse.linalg
 
 from kfpq import galerkin
 from kfpq.galerkin import (
     OPERATOR_LABELS,
+    NormNotConverged,
     ParityNotConserved,
     TruncationNotConverged,
     UnknownLabel,
@@ -30,7 +32,6 @@ def _dense_product_reference(label, params, dim_q, dim_p):
     a_q = ladder(dim_q)
     qq = (a_q + a_q.T) / np.sqrt(2.0)
     dq1 = (a_q - a_q.T) / np.sqrt(2.0)
-    num_q = np.diag(np.arange(dim_q) + 0.5)
     a_p = ladder(dim_p)
     pp = (a_p + a_p.T) / np.sqrt(2.0)
     dp1 = (a_p - a_p.T) / np.sqrt(2.0)
@@ -51,14 +52,9 @@ def _dense_product_reference(label, params, dim_q, dim_p):
     sign = 1.0 if attracting else -1.0
     return {
         "O_p": np.kron(eye_q, num_p),
-        "O_q": np.kron(num_q, eye_p),
         "X": transport,
         "Y": partner,
         "K": np.kron(eye_q, num_p) + root_nu * transport,
-        "K_degenerate": (p_mult @ d_q - params.lambda1 * d_p
-                         + np.kron(eye_q, num_p)
-                         - 0.5 * np.eye(dim_q * dim_p)),
-        "a_q": np.kron(a_q, eye_p),
         "a_q_star": np.kron(a_q.T, eye_p),
         "D_q": d_q,
         "grad_V": sign * root_nu * q_mult,
@@ -74,7 +70,7 @@ class TestAssembly:
     def test_kronecker_table_matches_dense_products(self, label, alpha,
                                                     dim_q, dim_p):
         params = ModelParams(2.7, alpha, 0.6)
-        got = build(label, params, dim_q, dim_p).matrix.toarray()
+        got = build(label, params, dim_q, dim_p).toarray()
         assert np.array_equal(got, _dense_product_reference(label, params,
                                                             dim_q, dim_p))
 
@@ -85,16 +81,15 @@ class TestAssembly:
         # the decay curves read the stored pattern of K as the coupling of
         # its levels, so zero coefficients and cancellations must leave no
         # entry behind
-        m = build(label, ModelParams(nu, alpha, 0.6), 9, 7).matrix
+        m = build(label, ModelParams(nu, alpha, 0.6), 9, 7)
         assert isinstance(m, scipy.sparse.csr_array)
         assert m.nnz == m.count_nonzero()
 
     def test_ladder_adjoint_pair(self):
+        # the adjoint of the q-creation operator is the lifted ladder
         a = ladder(12)
-        q = build("a_q", ModelParams(1.0), 12, 4).matrix.toarray()
-        qs = build("a_q_star", ModelParams(1.0), 12, 4).matrix.toarray()
-        assert np.max(np.abs(q - np.kron(a, np.eye(4)))) == 0.0
-        assert np.max(np.abs(qs - q.T)) <= 1e-13
+        qs = build("a_q_star", ModelParams(1.0), 12, 4).toarray()
+        assert np.max(np.abs(qs.T - np.kron(a, np.eye(4)))) == 0.0
 
     def test_ladder_commutator_interior(self):
         # [a, a*] = 1 away from the truncation edge
@@ -105,14 +100,14 @@ class TestAssembly:
         assert comm[15, 15] == pytest.approx(-15.0)
 
     def test_oscillator_is_diagonal(self):
-        op = build("O_p", ModelParams(1.0), 5, 7).matrix.toarray()
+        op = build("O_p", ModelParams(1.0), 5, 7).toarray()
         assert np.max(np.abs(op - np.diag(np.diag(op)))) == 0.0
         expected = np.tile(np.arange(7) + 0.5, 5)
         assert np.max(np.abs(np.diag(op) - expected)) == 0.0
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_transport_real_antisymmetric(self, alpha):
-        x = build("X", ModelParams(2.0, alpha), 12, 12).matrix.toarray()
+        x = build("X", ModelParams(2.0, alpha), 12, 12).toarray()
         assert np.max(np.abs(x.imag)) if np.iscomplexobj(x) else True
         assert np.max(np.abs(x + x.T)) <= 1e-13
 
@@ -120,9 +115,9 @@ class TestAssembly:
     def test_commutator_partner_interior(self, alpha):
         # [O_p, X] = Y exactly on states whose ladder images survive
         params = ModelParams(2.0, alpha)
-        x = build("X", params, 14, 14).matrix.toarray()
-        y = build("Y", params, 14, 14).matrix.toarray()
-        op = build("O_p", params, 14, 14).matrix.toarray()
+        x = build("X", params, 14, 14).toarray()
+        y = build("Y", params, 14, 14).toarray()
+        op = build("O_p", params, 14, 14).toarray()
         comm = op @ x - x @ op
         idx = interior_indices(14, 14, 2)
         block = np.ix_(idx, idx)
@@ -142,30 +137,39 @@ class TestNormAndSemigroup:
         rng = np.random.RandomState(7)
         m = rng.randn(50, 50) + 1j * rng.randn(50, 50)
         assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2),
-                                                 rel=1e-9)
+                                                 rel=1e-13)
 
     def test_operator_norm_real_rectangular(self):
         rng = np.random.RandomState(3)
         m = rng.randn(40, 25)
         assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2),
-                                                 rel=1e-9)
+                                                 rel=1e-13)
+
+    def test_arpack_failure_raises_norm_not_converged(self, monkeypatch):
+        def stalled(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence(
+                "ARPACK error -1: No convergence", np.zeros(0), np.zeros(0))
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
+        with pytest.raises(NormNotConverged):
+            operator_norm(np.eye(4))
 
     @pytest.mark.parametrize("nu", [1.0, 4.0])
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("t", [0.5, 1.0])
     def test_semigroup_is_contraction(self, nu, alpha, t):
-        op = build("K", ModelParams(nu, alpha), 20, 20)
+        op = build("K", ModelParams(nu, alpha), 20, 20).toarray()
         e = semigroup_matrix(op, t)
         assert operator_norm(e) <= 1.0 + 1e-12
 
     def test_semigroup_group_property(self):
-        op = build("K", ModelParams(1.0, 0.0), 20, 20)
+        op = build("K", ModelParams(1.0, 0.0), 20, 20).toarray()
         half = semigroup_matrix(op, 0.5)
         full = semigroup_matrix(op, 1.0)
         assert np.max(np.abs(half @ half - full)) <= 1e-9
 
     def test_negative_time_raises(self):
-        op = build("O_p", ModelParams(1.0), 4, 4)
+        op = build("O_p", ModelParams(1.0), 4, 4).toarray()
         with pytest.raises(ValueError):
             semigroup_matrix(op, -0.1)
 
@@ -207,7 +211,7 @@ class TestParitySectors:
     def test_generator_couples_no_two_kept_levels(self, alpha, nu):
         params = ModelParams(nu, alpha)
         size, levels = galerkin._conserved_levels(params, 12)
-        k = build("K", params, size, size).matrix.toarray()
+        k = build("K", params, size, size).toarray()
         every = levels[0] + levels[1]
         for i, rows in enumerate(every):
             for j, cols in enumerate(every):
@@ -222,7 +226,7 @@ class TestParitySectors:
         ts = (0.5, 1.0, 2.0)
         for blocks in levels:
             idx = np.sort(np.concatenate(blocks))
-            kept = gen.matrix.toarray()[np.ix_(idx, idx)]
+            kept = gen.toarray()[np.ix_(idx, idx)]
             assembled = galerkin._sector_exponentials(gen, idx, blocks, ts)
             for t, et in zip(ts, assembled):
                 assert np.max(np.abs(et - scipy.linalg.expm(-t * kept))) \
@@ -241,7 +245,7 @@ class TestParitySectors:
         kept = np.sort(np.concatenate(levels[0] + levels[1]))
 
         def dense(label):
-            return build(label, params, size, size).matrix.toarray()
+            return build(label, params, size, size).toarray()
 
         k = dense("K")[np.ix_(kept, kept)]
         root_nu = np.sqrt(params.nu)
@@ -257,10 +261,8 @@ class TestParitySectors:
         unsplit = [np.linalg.norm(weight[:, kept] @ scipy.linalg.expm(-t * k),
                                   2) * np.exp(-t * shift)
                    for t in ts]
-        # the oracle: power iteration stops when successive estimates agree
-        # to 1e-10, which leaves up to a few 1e-9 on the gaps met here
         oracle = galerkin._weighted_norm_values(quantity, params, ts, dim)
-        assert oracle == pytest.approx(unsplit, rel=1e-8)
+        assert oracle == pytest.approx(unsplit, rel=1e-12)
         # the split itself, with exact sector-block norms
         monkeypatch.setattr(galerkin, "operator_norm",
                             lambda m: np.linalg.norm(m, 2))
@@ -268,18 +270,19 @@ class TestParitySectors:
         assert exact == pytest.approx(unsplit, rel=1e-12)
 
     def test_parity_breaking_generator_raises(self, monkeypatch):
-        # the linear-potential drift -lambda1 d_p moves the level by one
+        # grad_V moves the q-level, and so the level, by one
         real_build = galerkin.build
 
-        def degenerate_as_k(label, params, dim_q, dim_p):
+        def k_plus_gradient(label, params, dim_q, dim_p):
+            op = real_build(label, params, dim_q, dim_p)
             if label == "K":
-                label = "K_degenerate"
-            return real_build(label, params, dim_q, dim_p)
+                op = op + real_build("grad_V", params, dim_q, dim_p)
+            return op
 
-        monkeypatch.setattr(galerkin, "build", degenerate_as_k)
+        monkeypatch.setattr(galerkin, "build", k_plus_gradient)
         with pytest.raises(ParityNotConserved):
             galerkin._weighted_norm_values("evolution_norm",
-                                           ModelParams(1.0, np.pi / 2, 1.0),
+                                           ModelParams(1.0, np.pi / 2),
                                            (1.0,), 8)
 
     def test_parity_mixing_weight_raises(self, monkeypatch):
@@ -290,10 +293,7 @@ class TestParitySectors:
         def mixed_derivative(label, params, dim_q, dim_p):
             op = real_build(label, params, dim_q, dim_p)
             if label == "D_q":
-                op = galerkin.HermiteOperator(
-                    dim_q, dim_p,
-                    op.matrix + real_build("weight_q", params, dim_q,
-                                           dim_p).matrix, label)
+                op = op + real_build("weight_q", params, dim_q, dim_p)
             return op
 
         monkeypatch.setattr(galerkin, "build", mixed_derivative)
@@ -358,6 +358,23 @@ class TestDecayCurves:
             assert s.oracle >= 0.99 * s.analytic
             assert s.analytic <= s.bound
 
+    def test_fiber_zero_check_is_unconverged(self, monkeypatch):
+        # a check value of 0 under a nonzero oracle is infinite drift, as
+        # on the matrix curves, not a converged sample
+        monkeypatch.setattr(galerkin, "_fiber_matrix_sups",
+                            lambda ts, lambda1, dim, xi_grid:
+                            [float(dim == 28)] * len(ts))
+        params = ModelParams(0.0, 0.0, 1.0)
+        curve = decay_curve("degenerate_fiber", params, (0.5, 1.0),
+                            strict=False)
+        for s in curve.samples:
+            assert s.oracle == 1.0
+            assert s.rel_discrepancy == np.inf
+            assert not s.converged
+        assert curve.convergence_meta.levels == (28, 20)
+        with pytest.raises(TruncationNotConverged):
+            decay_curve("degenerate_fiber", params, (0.5, 1.0), strict=True)
+
     def test_strict_mode_rejects_coarse_truncation(self):
         # t = 0.5 still moves by about 11% between dims 18 and 24
         with pytest.raises(TruncationNotConverged):
@@ -411,7 +428,7 @@ def _dense_pencil_reference(params, dims):
     qq = (a + a.T) / np.sqrt(2.0)
     dq1 = (a - a.T) / np.sqrt(2.0)
     eye_p = np.eye(big)
-    gen, osc_p, x = (build(label, params, big, big).matrix.toarray()
+    gen, osc_p, x = (build(label, params, big, big).toarray()
                      for label in ("K", "O_p", "X"))
     transport = np.sqrt(params.nu) * x
     big_a = galerkin._potential_constants(params).a
