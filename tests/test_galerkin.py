@@ -154,6 +154,36 @@ class TestNormAndSemigroup:
         with pytest.raises(NormNotConverged):
             operator_norm(np.eye(4))
 
+    # ARPACK needs two columns for a real m and three for a complex one
+    @pytest.mark.parametrize("rows,cols,is_complex", [
+        (2, 2, False), (5, 2, False), (2, 5, False), (1, 6, False),
+        (3, 3, True), (2, 5, True), (1, 6, True), (60, 8, True),
+        (8, 60, True),
+    ])
+    def test_operator_norm_matches_svd_across_shapes(self, rows, cols,
+                                                     is_complex):
+        rng = np.random.RandomState(rows * 100 + cols)
+        m = rng.randn(rows, cols)
+        if is_complex:
+            m = m + 1j * rng.randn(rows, cols)
+        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2),
+                                                 rel=1e-13)
+
+    @pytest.mark.parametrize("kind", ["rank_one", "repeated_top"])
+    def test_operator_norm_degenerate_spectrum(self, kind):
+        rng = np.random.RandomState(5)
+        if kind == "rank_one":
+            m = np.outer(rng.randn(20), rng.randn(15))
+        else:
+            m = np.diag([3.0, 3.0, 1.0, 0.5, 0.2])
+        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2),
+                                                 rel=1e-13)
+
+    def test_zero_matrix_raises_norm_not_converged(self):
+        # the Gram products send the start vector to 0
+        with pytest.raises(NormNotConverged):
+            operator_norm(np.zeros((4, 4)))
+
     @pytest.mark.parametrize("nu", [1.0, 4.0])
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("t", [0.5, 1.0])
@@ -172,6 +202,16 @@ class TestNormAndSemigroup:
         op = build("O_p", ModelParams(1.0), 4, 4).toarray()
         with pytest.raises(ValueError):
             semigroup_matrix(op, -0.1)
+
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0, 2.0])
+    def test_semigroup_of_stack_is_slicewise(self, t):
+        # a stack (..., n, n) is exponentiated matrix by matrix
+        gens = np.stack([build("K", ModelParams(nu, alpha), 5, 5).toarray()
+                         for nu in (1.0, 4.0) for alpha in ALPHAS])
+        stack = semigroup_matrix(gens.reshape(2, 2, 25, 25), t)
+        assert stack.shape == (2, 2, 25, 25)
+        for got, gen in zip(stack.reshape(4, 25, 25), gens):
+            assert np.max(np.abs(got - scipy.linalg.expm(-t * gen))) <= 1e-14
 
 
 MATRIX_CURVES = ("evolution_norm", "derivative_weight", "gradient_weight",
@@ -285,6 +325,26 @@ class TestParitySectors:
                                            ModelParams(1.0, np.pi / 2),
                                            (1.0,), 8)
 
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("label", ["D_q", "a_q_star"])
+    def test_level_moving_term_in_generator_raises(self, monkeypatch, label,
+                                                   alpha):
+        # either term moves the q-level by one, and so couples neighbouring
+        # levels of both the attracting and the repelling generator
+        real_build = galerkin.build
+
+        def k_plus_term(build_label, params, dim_q, dim_p):
+            op = real_build(build_label, params, dim_q, dim_p)
+            if build_label == "K":
+                op = op + real_build(label, params, dim_q, dim_p)
+            return op
+
+        monkeypatch.setattr(galerkin, "build", k_plus_term)
+        with pytest.raises(ParityNotConserved):
+            galerkin._weighted_norm_values("evolution_norm",
+                                           ModelParams(1.0, alpha),
+                                           (1.0,), 8)
+
     def test_parity_mixing_weight_raises(self, monkeypatch):
         # D_q + weight_q maps every state onto both parities of m + n, so
         # the rows the even and the odd sector reach overlap
@@ -374,6 +434,37 @@ class TestDecayCurves:
         assert curve.convergence_meta.levels == (28, 20)
         with pytest.raises(TruncationNotConverged):
             decay_curve("degenerate_fiber", params, (0.5, 1.0), strict=True)
+
+    # (oracle, check value, drift, converged)
+    @pytest.mark.parametrize("main,check,drift,converged", [
+        (0.0, 0.0, 0.0, True),
+        (1.0, 0.0, np.inf, False),
+        (1.005, 1.0, 0.005, True),
+        (1.02, 1.0, 0.02, False),
+    ])
+    @pytest.mark.parametrize("quantity", ["evolution_norm",
+                                          "degenerate_fiber"])
+    def test_matrix_and_fiber_curves_share_drift_rule(
+            self, monkeypatch, quantity, main, check, drift, converged):
+        # dims 16 compares truncations 16 and 12; the fiber compares 28, 20
+        monkeypatch.setattr(galerkin, "_weighted_norm_values",
+                            lambda q, params, ts, dim:
+                            [main if dim == 16 else check] * len(ts))
+        monkeypatch.setattr(galerkin, "_fiber_matrix_sups",
+                            lambda ts, lambda1, dim, xi_grid:
+                            [main if dim == 28 else check] * len(ts))
+        curve = decay_curve(quantity, ModelParams(1.0, 0.0, 1.0), (0.5, 1.0),
+                            dims=16, strict=False)
+        for s in curve.samples:
+            assert s.oracle == main
+            assert s.rel_discrepancy == pytest.approx(drift, rel=1e-9)
+            assert s.converged is converged
+        assert curve.convergence_meta.drifts == \
+            pytest.approx((drift, drift), rel=1e-9)
+        if not converged:
+            with pytest.raises(TruncationNotConverged):
+                decay_curve(quantity, ModelParams(1.0, 0.0, 1.0), (0.5, 1.0),
+                            dims=16, strict=True)
 
     def test_strict_mode_rejects_coarse_truncation(self):
         # t = 0.5 still moves by about 11% between dims 18 and 24
