@@ -3,8 +3,8 @@
 For alpha = pi/2 and nu > 1/4 the model operator is unitarily equivalent to
 the first-order flow z . M grad_z on a weighted Fock space, with a 2x2 matrix
 M recovered here by eigenvector identification (``reduce``).  Everything
-downstream is finite dimensional: the flow e^{tM} and its Gram matrix as
-biquaternions, the Gram eigenvalues lambda_{+/-}, the weighted quotient
+downstream is finite dimensional: the Gram matrix of the flow e^{tM} as a
+biquaternion, the Gram eigenvalues lambda_{+/-}, the weighted quotient
 Q_t(e'_q) that controls creation-operator decay, and the resulting t^{-3/2}
 remainder envelope.  scipy handles the matrix exponentials and the 2x2
 generalized eigenproblem used as oracles; the closed forms are the
@@ -28,7 +28,6 @@ __all__ = [
     "WeightedQuotient",
     "GramEigenvalues",
     "reduce",
-    "flow_matrix",
     "gram_matrix",
     "gram_eigenvalues",
     "lambda_minus_log_form",
@@ -158,14 +157,6 @@ def reduce(params: ModelParams, tol: float = 1e-10) -> BargmannReduction:
             "identification residual %g exceeds tolerance" % residual)
     m = (np.eye(2) - 1j * a_plus) @ b
     return BargmannReduction(A_plus=a_plus, A_minus=a_minus, B=b, M=m)
-
-
-def flow_matrix(t: float, params: ModelParams) -> np.ndarray:
-    """e^{tM} as the biquaternion e^{t/2}(C + iS i - 2 sqrt(nu) S j)."""
-    _require_oscillatory(params)
-    c, s = _trig_factors(t, params.r1)
-    flow = Biquaternion(c, 1j * s, -2 * np.sqrt(params.nu) * s)
-    return np.exp(t / 2) * flow.to_matrix()
 
 
 def gram_matrix(t: float, params: ModelParams) -> np.ndarray:

@@ -49,14 +49,15 @@ def _parse_float_list(value, field: str):
                           "got %r" % (field, value))
     if not out:
         raise ConfigError("field '%s': empty list" % field)
+    if not all(np.isfinite(out)):
+        raise ConfigError("field '%s': numbers must be finite, got %r"
+                          % (field, value))
     return out
 
 
 def _parse_t_grid(value):
     if isinstance(value, (list, tuple)):
-        grid = tuple(float(x) for x in value)
-        if not grid:
-            raise ConfigError("field 't': empty grid")
+        grid = _parse_float_list(value, "t")
         if min(grid) <= 0:
             raise ConfigError("field 't': times must be positive")
         return grid
@@ -74,8 +75,8 @@ def _parse_t_grid(value):
         raise ConfigError("field 't': spacing must be 'log' or 'lin'")
     if count <= 0:
         raise ConfigError("field 't': empty grid (count=%d)" % count)
-    if lo <= 0 or hi < lo:
-        raise ConfigError("field 't': need 0 < min <= max")
+    if not 0 < lo <= hi < np.inf:
+        raise ConfigError("field 't': need 0 < min <= max < inf")
     if count == 1:
         return (lo,)
     if kind == "log":
@@ -97,7 +98,7 @@ def _parse_alpha(value):
 def _parse_int(value, field: str, minimum: int):
     try:
         out = int(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError("field '%s': expected an integer, got %r"
                           % (field, value))
     if out < minimum:
@@ -133,7 +134,7 @@ _PARSERS = {
     "lambda1": lambda v: _parse_float_list(v, "lambda1"),
     "t": _parse_t_grid,
     "alpha": _parse_alpha,
-    "dims": lambda v: _parse_int(v, "dims", 4),
+    "dims": lambda v: _parse_int(v, "dims", 8),
     "seed": lambda v: _parse_int(v, "seed", 0),
     "format": _parse_format,
     "criteria": _parse_criteria,
@@ -346,7 +347,7 @@ _FLAGS = {
     "t": {"help": "time grid 'min:max:count:log|lin'"},
     "alpha": {"choices": ("0", "pi2"),
               "help": "potential angle (default: both)"},
-    "dims": {"help": "Hermite modes per factor"},
+    "dims": {"help": "Hermite modes per factor (at least 8)"},
     "seed": {"help": "seed for criterion 1's random draws"},
     "criteria": {"help": "comma-separated criterion numbers"},
     "out": {"metavar": "PATH",

@@ -8,27 +8,20 @@ exactly exp(u(t) b^2) with
     u(t) = tanh(t/2) - t/2  < 0  for t > 0,
 
 and all decay statements reduce to suprema of b^2 exp(u b^2) over the
-admissible frequencies.  This module provides those scalar objects plus the
-algebraic check that the two-parameter fibers (xi_q, lambda1) reduce to the
-single-frequency normal form by a rotation.
+admissible frequencies.  This module provides those scalar objects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "FiberParams",
     "fiber_exponent",
     "fiber_norm",
-    "fiber_semigroup_norm",
     "F",
     "optimal_weight",
     "sup_weighted",
     "decay_bound_degenerate",
-    "fiber_reduction_check",
 ]
 
 
@@ -44,13 +37,6 @@ def fiber_exponent(t: float) -> float:
         return float(t * t2 * (-1.0 / 24.0 + t2 * (1.0 / 240.0 + t2 * (
             -17.0 / 40320.0 + t2 * (62.0 / 1451520.0)))))
     return float(np.tanh(0.5 * t) - 0.5 * t)
-
-
-def fiber_semigroup_norm(t: float, b: float) -> float:
-    """Norm of the shifted fiber semigroup at frequency b: exp(u(t) b^2)."""
-    if t < 0:
-        raise ValueError("t must be nonnegative")
-    return float(np.exp(fiber_exponent(t) * b * b))
 
 
 def fiber_norm(t: float, b: float) -> float:
@@ -119,42 +105,3 @@ def decay_bound_degenerate(t: float, lambda1: float = 0.0) -> float:
         value = min(value, sup_weighted(1.0, lambda1))
     return float(value)
 
-
-@dataclass(frozen=True)
-class FiberParams:
-    """Fourier-side fiber data: transverse frequency and position frequency."""
-
-    lambda1: float
-    xi_q: float
-
-    @property
-    def b(self) -> float:
-        """Reduced frequency sqrt(xi_q^2 + lambda1^2)."""
-        return float(np.hypot(self.xi_q, self.lambda1))
-
-
-def fiber_reduction_check(params: FiberParams) -> float:
-    """Residual of the rotation reducing a fiber to its normal form.
-
-    The transport symbol i (xi_q p - lambda1 xi_p) is a linear form on
-    (p, xi_p); rotating by theta = atan2(lambda1, xi_q) sends its
-    coefficient vector to (b, 0) while leaving the O_p symbol
-    (p^2 + xi_p^2)/2 invariant.  Returns the largest residual over the
-    mapped coefficients, the orthogonality defect, and the quadratic-form
-    invariance; exact reductions give values at rounding level.
-    """
-    b = params.b
-    if b == 0:
-        raise ValueError("fiber with xi_q = lambda1 = 0 has no transport part")
-    theta = np.arctan2(params.lambda1, params.xi_q)
-    c, s = np.cos(theta), np.sin(theta)
-    rot = np.array([[c, -s], [s, c]])
-    coeff = np.array([params.xi_q, -params.lambda1])
-    mapped = rot @ coeff
-    residuals = [
-        abs(mapped[0] - b),
-        abs(mapped[1]),
-        float(np.max(np.abs(rot.T @ rot - np.eye(2)))),
-        float(np.max(np.abs(rot.T @ np.eye(2) @ rot - np.eye(2)))),
-    ]
-    return float(max(residuals))

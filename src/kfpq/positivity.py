@@ -42,7 +42,6 @@ __all__ = [
     "hermitian_difference",
     "positivity_report",
     "delta0",
-    "delta0_lower_bound_check",
     "position_weight_decay_bound",
 ]
 
@@ -205,27 +204,6 @@ def delta0(t: float, params: ModelParams, imag_tol: float = 1e-10) -> float:
         raise NonRealDelta0(
             "threshold has imaginary part %g at t=%g" % (val.imag, t))
     return float(val.real)
-
-
-def delta0_lower_bound_check(params: ModelParams, epsilon0: float = 0.5,
-                             n_grid: int = 60):
-    """Fit the cubic lower-bound constant on a small-time window.
-
-    Scans t on a log grid below t0 = epsilon0 / (1 + sqrt(nu)) and returns
-    (c_fit, passed) where c_fit = min delta0 / (nu t^3).  The exact small-t
-    constant is 1/12; passed requires c_fit in (0.05, 1/12 + slack], i.e.
-    the threshold is genuinely cubic with a constant close to the limit.
-    """
-    if params.nu <= 0:
-        raise ValueError("cubic window needs nu > 0")
-    if not 0.0 < epsilon0 < 1.0:
-        raise ValueError("epsilon0 must lie in (0, 1)")
-    t0 = epsilon0 / (1.0 + np.sqrt(params.nu))
-    ts = np.logspace(np.log10(t0) - 3.0, np.log10(t0), n_grid)
-    ratios = [delta0(float(t), params) / (params.nu * t ** 3) for t in ts]
-    c_fit = float(min(ratios))
-    passed = bool(0.05 < c_fit <= 1.0 / 12.0 * (1.0 + 1e-9))
-    return c_fit, passed
 
 
 def position_weight_decay_bound(t: float, params: ModelParams,

@@ -38,12 +38,10 @@ __all__ = [
     "oscillator_p_hessian",
     "rotated_oscillator_hessian",
     "transport_hessian",
-    "commutator_partner_hessian",
     "generator_hessian",
     "hamilton_basis",
     "kappa",
     "kappa0",
-    "commutator_check",
 ]
 
 _ALPHA_TOL = 1e-12
@@ -179,18 +177,6 @@ def transport_hessian(alpha: float) -> np.ndarray:
     h = np.zeros((4, 4), dtype=complex)
     h[1, 2] = h[2, 1] = 1j * np.exp(-1j * alpha)
     h[0, 3] = h[3, 0] = 1j * np.exp(1j * alpha)
-    return h
-
-
-def commutator_partner_hessian(alpha: float) -> np.ndarray:
-    """Hessian of i(e^{i alpha} q p - e^{-i alpha} xi_q xi_p).
-
-    This symbol closes the bracket relations: its Hamilton map equals the
-    commutator of the oscillator and transport Hamilton maps.
-    """
-    h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = 1j * np.exp(1j * alpha)
-    h[2, 3] = h[3, 2] = -1j * np.exp(-1j * alpha)
     return h
 
 
@@ -338,32 +324,3 @@ def kappa0(delta: float, params: ModelParams) -> CanonicalMap:
     matrix = (cw * idm + 1j * sw * basis.E) @ (cw * idm - 1j * sw * basis.I)
     return CanonicalMap(matrix)
 
-
-# ---------------------------------------------------------------------------
-# bracket relations
-
-
-def commutator_check(params: ModelParams) -> float:
-    """Residual of the bracket relations satisfied by the model Hamilton maps.
-
-    Checks [F_Op, F_X] = F_Y for both the plain and the rotated oscillator
-    and that E commutes with F_Op and F_X; returns the largest max-norm
-    residual.
-    """
-    alpha = params.alpha
-    basis = hamilton_basis(alpha)
-    f_op = hamilton_map(oscillator_p_hessian())
-    f_oeq = hamilton_map(rotated_oscillator_hessian(alpha))
-    f_x = hamilton_map(transport_hessian(alpha))
-    f_y = hamilton_map(commutator_partner_hessian(alpha))
-
-    def comm(a, b):
-        return a @ b - b @ a
-
-    residuals = (
-        np.max(np.abs(comm(f_op, f_x) - f_y)),
-        np.max(np.abs(comm(f_oeq, f_x) - f_y)),
-        np.max(np.abs(comm(basis.E, f_op))),
-        np.max(np.abs(comm(basis.E, f_x))),
-    )
-    return float(max(residuals))

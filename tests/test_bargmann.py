@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from kfpq.bargmann import (gram_eigenvalues, gram_matrix,
-                           lambda_minus_log_form, flow_matrix, quotient,
+                           lambda_minus_log_form, quotient,
                            quotient_regime_constants, reduce, remainder_bound,
                            sup_direct_optimization)
 from kfpq.symbols import ModelParams
@@ -33,22 +33,16 @@ class TestReduction:
             reduce(ModelParams(nu=1.0, alpha=0.0))
 
 
-def test_flow_matrix_matches_exponential():
+def test_gram_matrix_is_gram_of_the_reduced_flow():
     for nu in (0.3, 1.0, 9.0):
         params = params_for(nu)
         m = reduce(params).M
         for t in (0.2, 1.3, 4.0):
-            closed = flow_matrix(t, params)
-            oracle = scipy.linalg.expm(t * m)
+            flow = scipy.linalg.expm(t * m)
+            oracle = flow.conj().T @ flow
             scale = max(1.0, float(np.max(np.abs(oracle))))
-            assert np.max(np.abs(closed - oracle)) < 1e-12 * scale
-
-
-def test_gram_matrix_is_flow_gram():
-    params = params_for(2.0)
-    for t in (0.4, 1.7):
-        phi = flow_matrix(t, params)
-        assert np.max(np.abs(gram_matrix(t, params) - phi.T @ phi)) < 1e-11
+            diff = np.max(np.abs(gram_matrix(t, params) - oracle))
+            assert diff < 1e-12 * scale
 
 
 def test_gram_eigenvalues_match_eigvalsh():

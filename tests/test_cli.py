@@ -172,12 +172,37 @@ class TestErrorExits:
         ["norms", "--nu", "-1"],
         ["delta0", "--nu", "0"],
         ["subelliptic", "--nu", "0"],
+        # the pencil needs at least 8 levels per direction
+        ["subelliptic", "--dims", "5"],
+        ["subelliptic", "--dims", "7"],
+        # every number must be finite
+        ["norms", "--nu", "nan"],
+        ["norms", "--t", "0.1:inf:3:log"],
+        ["norms", "--t", "nan:1:3:log"],
+        ["optimality", "--nu", "inf"],
+        ["degenerate", "--lambda1", "nan"],
         ["verify-all", "--criteria", "99"],
     ])
     def test_bad_input_is_exit_2(self, capsys, argv):
         rc, _, err = run(capsys, argv)
         assert rc == 2
         assert "config error" in err or "field" in err
+
+    @pytest.mark.parametrize("command, field, value", [
+        ("norms", "nu", float("nan")),
+        ("norms", "nu", "1,inf"),
+        ("norms", "t", [0.1, float("inf")]),
+        ("optimality", "nu", [float("inf")]),
+        ("degenerate", "lambda1", float("nan")),
+        ("subelliptic", "dims", float("inf")),
+    ])
+    def test_non_finite_config_is_exit_2(self, capsys, tmp_path, command,
+                                         field, value):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({field: value}))
+        rc, out, err = run(capsys, [command, "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert "config error: field '%s'" % field in err
 
     def test_numerical_failure_is_exit_3(self, capsys, tmp_path):
         # a witness coarse enough that grid refinement rejects it

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kfpq.degenerate import (F, FiberParams, decay_bound_degenerate,
-                             fiber_exponent, fiber_norm,
-                             fiber_reduction_check, fiber_semigroup_norm,
-                             optimal_weight, sup_weighted)
+from kfpq.degenerate import (F, decay_bound_degenerate, fiber_exponent,
+                             fiber_norm, optimal_weight, sup_weighted)
 
 
 class TestFiberExponent:
@@ -51,18 +49,15 @@ class TestFiberNorms:
             for b in (0.5, 1.0, 2.0, 4.0):
                 m = scipy.linalg.expm(-t * (number + 1j * b * x1))
                 oracle = float(np.linalg.norm(m, 2))
-                closed = fiber_semigroup_norm(t, b)
-                assert abs(closed - np.exp(u * b * b)) < 1e-14
-                assert abs(oracle - closed) < 1e-12
+                assert abs(oracle - np.exp(u * b * b)) < 1e-12
 
     def test_weighted_norm_composition(self):
         t, b = 0.7, 1.3
         assert abs(fiber_norm(t, b)
-                   - b * b * fiber_semigroup_norm(t, b)) < 1e-15
+                   - b * b * np.exp(fiber_exponent(t) * b * b)) < 1e-15
 
     def test_zero_frequency(self):
         assert fiber_norm(1.0, 0.0) == 0.0
-        assert fiber_semigroup_norm(1.0, 0.0) == 1.0
 
 
 class TestProfile:
@@ -136,20 +131,3 @@ class TestDecayBound:
                     for lam in (0.0, 1.0, 10.0))
         assert worst <= 40.0
 
-
-class TestFiberReduction:
-    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
-    @pytest.mark.parametrize("xi", [0.0, 1.0, 5.0])
-    def test_rotation_residual(self, lam, xi):
-        if lam == 0.0 and xi == 0.0:
-            return
-        residual = fiber_reduction_check(FiberParams(lambda1=lam, xi_q=xi))
-        assert residual < 1e-12
-
-    def test_frequency_modulus(self):
-        p = FiberParams(lambda1=3.0, xi_q=4.0)
-        assert abs(p.b - 5.0) < 1e-15
-
-    def test_zero_frequency_rejected(self):
-        with pytest.raises(ValueError):
-            fiber_reduction_check(FiberParams(lambda1=0.0, xi_q=0.0))

@@ -5,8 +5,8 @@ import pytest
 import scipy.optimize
 
 from kfpq.positivity import (NonFiniteDeterminant, NonRealDelta0, delta0,
-                             delta0_lower_bound_check, hermitian_difference,
-                             position_weight_decay_bound, positivity_report)
+                             hermitian_difference, position_weight_decay_bound,
+                             positivity_report)
 from kfpq.symbols import ModelParams, hamilton_basis, kappa, kappa0
 
 ALPHAS = (0.0, np.pi / 2)
@@ -146,8 +146,9 @@ def test_threshold_rejects_nonpositive_time():
         delta0(0.0, ModelParams(nu=1.0))
 
 
-# fitted cubic constants on the small-time window, frozen from the
-# implementation at build time (exact limit is 1/12 = 0.08333...)
+# min delta0 / (nu t^3) over 60 log-spaced times in [t0 / 1000, t0],
+# t0 = 0.5 / (1 + sqrt(nu)), frozen from the implementation at build time
+# (exact small-time limit is 1/12 = 0.08333...)
 FROZEN_C_FIT = {
     (1.0, 0.0): 0.081790,
     (10.0, 0.0): 0.080833,
@@ -163,14 +164,12 @@ FROZEN_C_FIT = {
 @pytest.mark.parametrize("key", sorted(FROZEN_C_FIT, key=lambda k: (k[0], k[1])))
 def test_lower_bound_constant_frozen(key):
     nu, alpha = key
-    c_fit, passed = delta0_lower_bound_check(ModelParams(nu=nu, alpha=alpha))
-    assert passed
+    params = ModelParams(nu=nu, alpha=alpha)
+    t0 = 0.5 / (1.0 + np.sqrt(nu))
+    ts = np.logspace(np.log10(t0) - 3.0, np.log10(t0), 60)
+    c_fit = min(delta0(float(t), params) / (nu * t ** 3) for t in ts)
+    assert 0.05 < c_fit <= 1.0 / 12.0 * (1.0 + 1e-9)
     assert abs(c_fit - FROZEN_C_FIT[key]) < 1e-4
-
-
-def test_lower_bound_check_input_guards():
-    with pytest.raises(ValueError):
-        delta0_lower_bound_check(ModelParams(nu=1.0), epsilon0=1.5)
 
 
 class TestDecayEnvelope:

@@ -5,9 +5,9 @@ import pytest
 import scipy.linalg
 
 from kfpq.symbols import (ModelParams, NonSymmetricInput, PotentialSpec,
-                          commutator_check, constants, generator_hessian,
-                          hamilton_basis, hamilton_map, kappa, kappa0,
-                          rotated_oscillator_hessian)
+                          constants, generator_hessian, hamilton_basis,
+                          hamilton_map, kappa, kappa0, oscillator_p_hessian,
+                          rotated_oscillator_hessian, transport_hessian)
 
 ALPHAS = (0.0, np.pi / 2)
 
@@ -154,6 +154,8 @@ def test_flow_factors_series_seam():
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
-def test_bracket_relations_close(alpha):
-    residual = commutator_check(ModelParams(nu=3.0, alpha=alpha))
-    assert residual < 1e-13
+def test_central_unit_commutes_with_model_hamilton_maps(alpha):
+    e = hamilton_basis(alpha).E
+    for hessian in (oscillator_p_hessian(), transport_hessian(alpha)):
+        f = hamilton_map(hessian)
+        assert np.max(np.abs(e @ f - f @ e)) == 0.0
