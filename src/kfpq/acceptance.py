@@ -35,7 +35,7 @@ from .positivity import NonRealDelta0, delta0, positivity_report
 from .symbols import (ModelParams, generator_hessian, hamilton_basis,
                       hamilton_map, kappa, kappa0, rotated_oscillator_hessian)
 
-__all__ = ["CriterionResult", "CRITERIA", "FAST_CRITERIA", "run_criteria",
+__all__ = ["CriterionResult", "CRITERIA", "run_criteria",
            "RESULT_COLUMNS", "sweep_norms", "sweep_delta0",
            "sweep_positivity", "sweep_bargmann", "sweep_resolvent",
            "sweep_optimality", "sweep_degenerate", "sweep_subelliptic"]
@@ -542,10 +542,6 @@ def criterion_10(seed):
                   "green" if flags_ok else "RED",
                   "yes" if pencil_ok else "NO", _fmt(worst_drift)))
     return passed, details
-
-
-# cheap, fully deterministic subset used for the byte-reproducibility check
-FAST_CRITERIA = (1, 2, 3, 4, 6, 8, 9)
 
 
 def run_criteria(numbers=None, seed: int = 0):

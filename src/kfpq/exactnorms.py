@@ -310,13 +310,20 @@ class WitnessGrid:
     drift_tol: float = 0.01
 
 
+# row strip height and column tile width of the streamed witness grid
+_STRIP_ROWS = 128
+_TILE_COLS = 128
+
+
 @dataclass(frozen=True)
 class WitnessNumeric:
     """Grid evaluation of the witness Rayleigh quotient.
 
     quotient is from the refined grid; drift compares it against the coarse
     grid.  The squared norms are from the coarse grid (they enter the
-    acceptance checks only through generous one-sided comparisons).
+    acceptance checks only through generous one-sided comparisons).  Every
+    sum runs over one half of the grid interior and is doubled, as u is
+    even under (q, p) -> (-q, -p).
     """
 
     nu: float
@@ -329,17 +336,44 @@ class WitnessNumeric:
     grid: WitnessGrid
 
 
-def _witness_field(nu: float, n: int, grid: WitnessGrid):
-    """Grid axis xs and u = (1/L) int_0^L phi_s ds on the n x n (q, p) grid.
+def _fill_tile(out, f_tab, g_tab):
+    """out[r, c] = sum_s f_tab[r+c, s] g_tab[r-c+C-1, s] for an R x C tile.
 
-    The slice exponent separates along the diagonals:
+    f_tab and g_tab hold the R + C - 1 table rows the tile reaches.  The two
+    row indices add up to 2r + C - 1, so even rows of f_tab meet only rows of
+    g_tab with the parity of C - 1, and odd rows only the others: two
+    half-size matrix products hold every entry, and each of the four
+    (r mod 2, c mod 2) classes of the tile is a strided view of one of them.
+    """
+    rows, cols = out.shape
+    odd = (cols - 1) % 2
+    prods = (f_tab[0::2] @ g_tab[odd::2].T,
+             f_tab[1::2] @ g_tab[1 - odd::2].T)
+    for r in (0, 1):
+        for c in (0, 1):
+            # entry (r + 2a, c + 2b) sits at row (r + c)//2 + a + b and
+            # column (r - c + C - 1)//2 + a - b of its product
+            prod = prods[(r + c) % 2]
+            width, step = prod.shape[1], prod.itemsize
+            start = (r + c) // 2 * width + (r - c + cols - 1) // 2
+            out[r::2, c::2] = np.lib.stride_tricks.as_strided(
+                prod.ravel()[start:],
+                shape=((rows - r + 1) // 2, (cols - c + 1) // 2),
+                strides=((width + 1) * step, (width - 1) * step))
+
+
+def _witness_field(nu: float, n: int, grid: WitnessGrid):
+    """Grid axis xs and a function rows(i0, i1) giving u[i0:i1, :].
+
+    u = (1/L) int_0^L phi_s ds on the n x n (q, p) grid.  The slice exponent
+    separates along the diagonals:
     a^2 + b^2 = (e^{2s} (q+p)^2 + e^{-2s} (q-p)^2) / 2.  On the uniform grid
     q + p at node (i, j) depends only on i + j and q - p only on i - j, and
     both run over the same 2n - 1 points.  So with Gauss-Legendre weights w_s,
     u[i, j] = sum_s w_s F_s[i+j] G_s[i-j+n-1] for two (2n-1) x s_nodes tables
-    F_s = exp(-e^{2s} (q+p)^2 / 4) and G_s = exp(-e^{-2s} (q-p)^2 / 4).  One
-    matrix product contracts the tables over s, and u is read off the product
-    along its (i+j, i-j) diagonals.
+    F_s = exp(-e^{2s} (q+p)^2 / 4) and G_s = exp(-e^{-2s} (q-p)^2 / 4).  The
+    rows are contracted over s one column tile at a time (``_fill_tile``),
+    so no n x n array is formed unless the whole grid is asked for.
     """
     big_l = np.log(nu) / 4.0
     extent = grid.extent_factor * np.exp(big_l)
@@ -354,58 +388,72 @@ def _witness_field(nu: float, n: int, grid: WitnessGrid):
     f_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(2.0 * s_vals)))
     g_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(-2.0 * s_vals)))
     f_tab *= s_weights / (big_l * np.sqrt(np.pi))
-    prod = f_tab @ g_tab.T
-    # prod[k, m] sits at flat offset k (2n-1) + m, so prod[i+j, i-j+n-1] sits
-    # at i 2n + j (2n-2) + n-1: a strided view of the flat product
-    step = prod.itemsize
-    u = np.lib.stride_tricks.as_strided(
-        prod.ravel()[n - 1:], shape=(n, n),
-        strides=(2 * n * step, (2 * n - 2) * step)).copy()
-    return xs, u
+
+    def rows(i0: int, i1: int):
+        u = np.empty((i1 - i0, n))
+        for j0 in range(0, n, _TILE_COLS):
+            j1 = min(j0 + _TILE_COLS, n)
+            _fill_tile(u[:, j0:j1], f_tab[i0 + j0:i1 + j1 - 1],
+                       g_tab[i0 - j1 + n:i1 - j0 + n - 1])
+        return u
+
+    return xs, rows
 
 
-def _witness_on_grid(nu: float, xs, u):
-    """Witness quotient and squared norms from u on the grid xs x xs.
+def _d4(f, h: float, axis: int):
+    """Fourth-order central first derivative along axis, at indices 2 .. -3."""
+    size = f.shape[axis]
 
-    u comes from ``_witness_field``, which builds it from its separable
-    (q+p, q-p) factors.  The generator is applied with fourth-order central
-    differences, and the squared norms are summed over the interior that
-    stays four nodes clear of the zero-padded margin.
+    def shifted(k):
+        index = [slice(None)] * f.ndim
+        index[axis] = slice(2 + k, size - 2 + k)
+        return f[tuple(index)]
+
+    return (shifted(-2) - shifted(2)
+            + 8 * (shifted(1) - shifted(-1))) / (12.0 * h)
+
+
+def _witness_on_grid(nu: float, xs, rows):
+    """Witness quotient and squared norms from the field rows on xs x xs.
+
+    rows comes from ``_witness_field``.  The generator is applied with
+    fourth-order central differences, and the squared norms are summed over
+    the interior that stays four nodes clear of the grid margin.  The
+    interior is walked in strips of ``_STRIP_ROWS`` rows, each read with the
+    two-row halo the q-derivative needs.  u(-q, -p) = u(q, p) and every
+    summand is even, so only the rows below the middle are summed and
+    doubled, and the middle row of an odd grid is added once.
+    ||K u||^2 = ||O_p u||^2 + 2 sqrt(nu) <O_p u, X0 u> + nu ||X0 u||^2.
     """
+    n = xs.size
     h = xs[1] - xs[0]
-    q_col, p_row = xs[:, None], xs[None, :]
+    p_row = xs[4:-4]
 
-    def d4(f, axis):
-        # fourth-order central first derivative, zero-padded at the margin
-        out = np.zeros_like(f)
-        sl = [slice(None)] * 2
+    def strip_sums(i0, i1):
+        u = rows(i0 - 2, i1 + 2)
+        mid = u[2:-2]
+        du_q = _d4(u[:, 4:-4], h, 0)
+        du_p = _d4(mid, h, 1)
+        d2u_p = _d4(du_p, h, 1)
+        core = mid[:, 4:-4]
+        op_u = 0.5 * (p_row * p_row * core - d2u_p)
+        x0_u = p_row * du_q + xs[i0:i1, None] * du_p[:, 2:-2]
+        # einsum, not a BLAS dot: a threaded dot splits its sum by the
+        # thread count, and the report must not depend on it
+        return np.array([np.einsum("ij,ij->", core, core),
+                         np.einsum("ij,ij->", x0_u, x0_u),
+                         np.einsum("ij,ij->", op_u, op_u),
+                         np.einsum("ij,ij->", op_u, x0_u)])
 
-        def shifted(k):
-            sl_k = list(sl)
-            sl_k[axis] = slice(2 + k, f.shape[axis] - 2 + k)
-            return f[tuple(sl_k)]
-
-        core = (shifted(-2) - 8 * shifted(-1) + 8 * shifted(1)
-                - shifted(2)) / (12.0 * h)
-        sl_core = list(sl)
-        sl_core[axis] = slice(2, -2)
-        out[tuple(sl_core)] = core
-        return out
-
-    du_q = d4(u, 0)
-    du_p = d4(u, 1)
-    d2u_p = d4(du_p, 1)
-
-    interior = (slice(4, -4), slice(4, -4))
-    op_u = 0.5 * (p_row * p_row * u - d2u_p)
-    x0_u = p_row * du_q + q_col * du_p
-    k_u = op_u + np.sqrt(nu) * x0_u
-
-    cell = h * h
-    usq = float(np.sum(u[interior] ** 2) * cell)
-    x0sq = float(np.sum(x0_u[interior] ** 2) * cell)
-    opsq = float(np.sum(op_u[interior] ** 2) * cell)
-    ksq = float(np.sum(k_u[interior] ** 2) * cell)
+    half = n // 2
+    sums = np.zeros(4)
+    for i0 in range(4, half, _STRIP_ROWS):
+        sums += strip_sums(i0, min(i0 + _STRIP_ROWS, half))
+    sums *= 2.0
+    if n % 2:
+        sums += strip_sums(half, half + 1)
+    usq, x0sq, opsq, op_x0 = (float(v) for v in sums * (h * h))
+    ksq = opsq + 2.0 * float(np.sqrt(nu)) * op_x0 + nu * x0sq
     return ksq / usq, usq, x0sq, opsq
 
 
@@ -417,10 +465,12 @@ def witness_rayleigh_numeric(nu: float,
     uniform (q, p) grid, applies the generator with fourth-order finite
     differences, and forms ||K u||^2 / ||u||^2.  Each slice factors as
     phi_s = pi^{-1/2} exp(-e^{2s} (q+p)^2 / 4) exp(-e^{-2s} (q-p)^2 / 4), so u
-    is one contraction over s of two exponential tables on the 2n - 1 grid
-    diagonals, not s_nodes exponentials over the full grid.  The grid is then
-    refined by ``refine_factor``; a relative change above ``drift_tol`` raises
-    GridUnderResolved.
+    is a contraction over s of two exponential tables on the 2n - 1 grid
+    diagonals, not s_nodes exponentials over the full grid.  The contraction
+    and the differences stream over row strips of one symmetric half of the
+    grid, so memory stays at a few strips whatever n is.  The grid is then
+    refined by ``refine_factor``; a relative change above ``drift_tol``
+    raises GridUnderResolved.
     """
     if nu <= np.exp(8.0):
         raise ValueError("witness regime needs log(nu)/4 > 2")

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from kfpq.acceptance import sweep_norms
-from kfpq.exactnorms import (GridUnderResolved, WitnessGrid, _witness_field,
-                             _witness_on_grid, boosted_state_norm_quadrature,
+from kfpq.exactnorms import (_STRIP_ROWS, _TILE_COLS, GridUnderResolved,
+                             WitnessGrid, _witness_field, _witness_on_grid,
+                             boosted_state_norm_quadrature,
                              optimality_witness, oscillator_norm_closed,
                              oscillator_norm_quadrature, overlap_closed,
                              overlap_quadrature, resolvent_bound,
@@ -189,19 +190,167 @@ def per_node_witness_field(nu, n, grid):
     return xs, u / (big_l * np.sqrt(np.pi))
 
 
+def _dense_witness_reference(nu, n, grid):
+    """Quotient, ||u||^2, ||X0 u||^2, ||O_p u||^2 from full-grid arrays.
+
+    The whole (2n-1)^2 product of the separable tables is formed, u is read
+    off its diagonals, and every stencil array covers the full n x n grid;
+    the interior is summed in one piece.
+    """
+    big_l = np.log(nu) / 4.0
+    extent = grid.extent_factor * np.exp(big_l)
+    xs = np.linspace(-extent, extent, n)
+    nodes, weights = np.polynomial.legendre.leggauss(grid.s_nodes)
+    s_vals = 0.5 * big_l * (nodes + 1.0)
+    s_weights = 0.5 * big_l * weights
+    diag = np.linspace(-2.0 * extent, 2.0 * extent, 2 * n - 1)
+    quarter_sq = 0.25 * diag * diag
+    f_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(2.0 * s_vals)))
+    g_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(-2.0 * s_vals)))
+    f_tab *= s_weights / (big_l * np.sqrt(np.pi))
+    prod = f_tab @ g_tab.T
+    # prod[i+j, i-j+n-1] sits at flat offset i 2n + j (2n-2) + n-1
+    step = prod.itemsize
+    u = np.lib.stride_tricks.as_strided(
+        prod.ravel()[n - 1:], shape=(n, n),
+        strides=(2 * n * step, (2 * n - 2) * step)).copy()
+
+    h = xs[1] - xs[0]
+    q_col, p_row = xs[:, None], xs[None, :]
+
+    def d4(f, axis):
+        out = np.zeros_like(f)
+        sl = [slice(None)] * 2
+
+        def shifted(k):
+            sl_k = list(sl)
+            sl_k[axis] = slice(2 + k, f.shape[axis] - 2 + k)
+            return f[tuple(sl_k)]
+
+        core = (shifted(-2) - 8 * shifted(-1) + 8 * shifted(1)
+                - shifted(2)) / (12.0 * h)
+        sl_core = list(sl)
+        sl_core[axis] = slice(2, -2)
+        out[tuple(sl_core)] = core
+        return out
+
+    du_q = d4(u, 0)
+    du_p = d4(u, 1)
+    d2u_p = d4(du_p, 1)
+    interior = (slice(4, -4), slice(4, -4))
+    op_u = 0.5 * (p_row * p_row * u - d2u_p)
+    x0_u = p_row * du_q + q_col * du_p
+    k_u = op_u + np.sqrt(nu) * x0_u
+    cell = h * h
+    usq = float(np.sum(u[interior] ** 2) * cell)
+    x0sq = float(np.sum(x0_u[interior] ** 2) * cell)
+    opsq = float(np.sum(op_u[interior] ** 2) * cell)
+    ksq = float(np.sum(k_u[interior] ** 2) * cell)
+    return ksq / usq, usq, x0sq, opsq
+
+
+def _exact_witness_norms(nu, s_nodes):
+    """Quotient, ||u||^2, ||X0 u||^2, ||O_p u||^2 from Gaussian moments.
+
+    u = (1/L) sum_s w_s phi_s on the grid's Gauss-Legendre nodes, with
+    phi_s = pi^{-1/2} exp(-z^T A_s z / 2), z = (q, p), A_s = [[C, S], [S, C]],
+    C = cosh 2s, S = sinh 2s.  Each image is a quadratic times the slice:
+    O_p phi_s = (p^2 - (S q + C p)^2 + C) phi_s / 2 and
+    X0 phi_s = -(S q^2 + 2 C q p + S p^2) phi_s, both (z^T B z / 2 + beta)
+    phi_s.  phi_s phi_t has mass 1/cosh(s - t) and covariance
+    Sigma = (A_s + A_t)^{-1}, and by Isserlis
+    E[(z^T B z)(z^T B' z)] = tr(B Sigma) tr(B' Sigma) + 2 tr(B Sigma B' Sigma).
+    No grid and no finite difference enters.
+    """
+    big_l = np.log(nu) / 4.0
+    nodes, weights = np.polynomial.legendre.leggauss(s_nodes)
+    s_vals = 0.5 * big_l * (nodes + 1.0)
+    ch, sh = np.cosh(2.0 * s_vals), np.sinh(2.0 * s_vals)
+
+    def sym(a, b, d):
+        return np.moveaxis(np.array([[a, b], [b, d]]), -1, 0)
+
+    sigma = np.linalg.inv(sym(ch, sh, ch)[:, None] + sym(ch, sh, ch)[None])
+    # (w_s / L)(w_t / L) <phi_s, phi_t>, with w_s / L = weights / 2
+    pair_weights = (np.outer(weights, weights) / 4.0
+                    / np.cosh(np.subtract.outer(s_vals, s_vals)))
+
+    def norm_sq(b, beta):
+        tr = np.einsum("sij,stji->st", b, sigma)
+        tr_t = np.einsum("tij,stji->st", b, sigma)
+        cross = np.einsum("sij,stjk,tkl,stli->st", b, sigma, b, sigma)
+        moment = (0.25 * (tr * tr_t + 2.0 * cross) + 0.5 * beta[None] * tr
+                  + 0.5 * beta[:, None] * tr_t + np.outer(beta, beta))
+        return float(np.sum(pair_weights * moment))
+
+    b_op, beta_op = sym(-sh * sh, -sh * ch, 1.0 - ch * ch), 0.5 * ch
+    b_x0 = -2.0 * sym(sh, ch, sh)
+    usq = float(np.sum(pair_weights))
+    x0sq = norm_sq(b_x0, np.zeros(s_nodes))
+    opsq = norm_sq(b_op, beta_op)
+    ksq = norm_sq(b_op + np.sqrt(nu) * b_x0, beta_op)
+    return ksq / usq, usq, x0sq, opsq
+
+
 class TestWitnessNumeric:
     @pytest.mark.parametrize("n", [151, 150])
     def test_separable_field_matches_per_node_sum(self, n):
         nu = float(np.exp(9.0))
         grid = WitnessGrid(n=n, s_nodes=24)
-        xs, u = _witness_field(nu, n, grid)
+        xs, rows = _witness_field(nu, n, grid)
         xs_ref, u_ref = per_node_witness_field(nu, n, grid)
         assert np.array_equal(xs, xs_ref)
-        assert np.max(np.abs(u - u_ref)) <= 1e-13 * np.max(np.abs(u_ref))
-        got = _witness_on_grid(nu, xs, u)
-        ref = _witness_on_grid(nu, xs_ref, u_ref)
+        scale = np.max(np.abs(u_ref))
+        # the whole grid, then strips at both row parities, one row, and one
+        # reaching the last column tile
+        for i0, i1 in ((0, n), (2, 70), (37, 101), (74, 75), (n - 9, n)):
+            strip = rows(i0, i1)
+            assert strip.shape == (i1 - i0, n)
+            assert np.max(np.abs(strip - u_ref[i0:i1])) <= 1e-13 * scale
+        got = _witness_on_grid(nu, xs, rows)
+        ref = _witness_on_grid(nu, xs_ref, lambda i0, i1: u_ref[i0:i1])
         for g, r in zip(got, ref):
             assert abs(g / r - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("n,s_nodes", [(150, 24), (151, 24), (1201, 64)])
+    def test_streamed_grid_matches_dense_reference(self, n, s_nodes):
+        # none of these sizes is a multiple of the strip height or the tile
+        # width, and the strip count of the half grid leaves a partial strip
+        assert n % _STRIP_ROWS and n % _TILE_COLS
+        assert (n // 2 - 4) % _STRIP_ROWS
+        nu = float(np.exp(9.0))
+        grid = WitnessGrid(n=n, s_nodes=s_nodes)
+        got = _witness_on_grid(nu, *_witness_field(nu, n, grid))
+        ref = _dense_witness_reference(nu, n, grid)
+        for g, r in zip(got, ref):
+            assert abs(g / r - 1.0) <= 1e-12
+
+    def test_exact_moments_reproduce_closed_slice_norms(self):
+        # one node: u = phi_{L/2}, ||O_p phi_s||^2 = cosh(4s)/4 and
+        # ||X0 phi_s||^2 = -d^2/dx^2 sech(x) at 0 = 1; the X0 image of the
+        # node sum is (phi_L - phi_0)/L up to Gauss-Legendre error
+        nu = float(np.exp(9.0))
+        big_l = np.log(nu) / 4.0
+        quotient, usq, x0sq, opsq = _exact_witness_norms(nu, 1)
+        assert usq == 1.0
+        assert abs(opsq / oscillator_norm_closed(big_l / 2.0) - 1.0) < 1e-12
+        assert abs(x0sq - 1.0) < 1e-12
+        assert quotient > 0.0
+        x0_closed = optimality_witness(nu).x0_norm_sq
+        assert abs(_exact_witness_norms(nu, 64)[2] / x0_closed - 1.0) < 1e-10
+
+    def test_grid_quotient_converges_to_exact_moments(self):
+        nu = float(np.exp(9.0))
+        num = witness_rayleigh_numeric(nu)
+        exact_q, exact_usq, _, _ = _exact_witness_norms(nu,
+                                                        num.grid.s_nodes)
+        fine_err = num.quotient / exact_q - 1.0
+        coarse_err = num.coarse_quotient / exact_q - 1.0
+        assert abs(fine_err) < 2e-4
+        assert abs(coarse_err) < 1e-3
+        # fourth-order differences: refining by 1.5 cuts the error by 1.5^4
+        assert 4.0 <= coarse_err / fine_err <= 6.0
+        assert abs(num.u_norm_sq / exact_usq - 1.0) < 1e-10
 
     def test_grid_quotient_frozen(self):
         nu = float(np.exp(9.0))

@@ -35,16 +35,16 @@ TEST_REFERENCES = {
 
 
 def _reached_names():
-    """Every name, attribute and imported name in the package and benchmark.
+    """Every name read, attribute and import in the package and benchmark.
 
-    A Name counts in any context, so a module constant is reached by its own
-    assignment; what the guard catches are functions and classes that only
-    tests call.
+    A Name counts only where it is loaded, so a module constant is not
+    reached by its own assignment: data that only tests read is caught as
+    well as functions and classes that only tests call.
     """
     names = set()
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
