@@ -5,9 +5,10 @@ generator and the weight operators are assembled as sparse sums of Kronecker
 products of one-variable ladder matrices in the Hermite basis of L^2(R^2)
 (see ``build``), exponentiated on the levels the generator conserves, and
 measured through their largest singular values: one ARPACK Lanczos run on
-each parity sector (see ``operator_norm``), an SVD of each small degenerate
-fiber.  Agreement between these numbers and the closed forms is the main
-cross-check of the package.
+each parity sector (see ``operator_norm``), and the top eigenvalue of the
+Gram matrix of each small degenerate fiber, taken in a real gauge (see
+``_fiber_matrix_sups``).  Agreement between these numbers and the closed
+forms is the main cross-check of the package.
 The subelliptic pencil is assembled sparse from the same operators and
 solved densely on each parity of m + n (see ``subelliptic_constant``).
 
@@ -319,17 +320,38 @@ def _conserved_levels(params: ModelParams, dims: int) -> tuple:
     return size, levels
 
 
-def _sector_exponentials(gen: scipy.sparse.csr_array, idx: np.ndarray,
-                         blocks: list, ts: Sequence[float]):
-    """Yield e^{-t K} on the sector ``idx`` for each t of the sorted grid
-    ``ts``, assembled from the exponentials of the ``blocks`` it holds.
+def _level_blocks(coupling: scipy.sparse.coo_array, sizes) -> list:
+    """Dense blocks of K on each kept level, cut from ``coupling``, the COO
+    of K on the kept states listed level after level with ``sizes`` states
+    each.  Raises ParityNotConserved if ``coupling`` stores an entry between
+    two levels.
 
-    Each block is densified once, then exponentiated and squared along the
-    grid on its own.
+    All blocks share one flat buffer; duplicate entries are summed, as
+    ``toarray`` would.
+    """
+    sizes = np.asarray(sizes)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    level = owner[coupling.row]
+    if np.any(level != owner[coupling.col]):
+        raise ParityNotConserved("K couples two kept levels")
+    starts = np.cumsum(sizes) - sizes
+    offsets = np.cumsum(sizes * sizes) - sizes * sizes
+    flat = np.zeros(int(np.sum(sizes * sizes)))
+    np.add.at(flat, offsets[level] + (coupling.row - starts[level])
+              * sizes[level] + coupling.col - starts[level], coupling.data)
+    return [flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes)]
+
+
+def _sector_exponentials(idx: np.ndarray, blocks: list, dense: list,
+                         ts: Sequence[float]):
+    """Yield e^{-t K} on the sector ``idx`` for each t of the sorted grid
+    ``ts``, assembled from the exponentials of the level ``blocks`` it
+    holds, whose dense blocks of K are ``dense``.
+
+    Each block is exponentiated and squared along the grid on its own.
     """
     where = [np.searchsorted(idx, states) for states in blocks]
-    chains = [_chained_exponentials(gen[np.ix_(states, states)].toarray(), ts)
-              for states in blocks]
+    chains = [_chained_exponentials(block, ts) for block in dense]
     for t in ts:
         et = np.zeros((len(idx), len(idx)))
         for pos, chain in zip(where, chains):
@@ -364,13 +386,12 @@ def _weighted_norm_values(quantity: str, params: ModelParams,
         raise UnknownLabel("no matrix curve for %r" % (quantity,))
     every = levels[0] + levels[1]
     kept = np.concatenate(every)
-    owner = np.repeat(np.arange(len(every)), [len(states) for states in every])
-    coupling = gen[np.ix_(kept, kept)].tocoo()
-    if np.any(owner[coupling.row] != owner[coupling.col]):
-        raise ParityNotConserved("K couples two kept levels")
+    dense = _level_blocks(gen[np.ix_(kept, kept)].tocoo(),
+                          [len(states) for states in every])
+    sectors = (dense[:len(levels[0])], dense[len(levels[0]):])
     values = [0.0] * len(ts)
     reached = np.zeros(0, dtype=int)
-    for blocks in levels:
+    for blocks, sector_dense in zip(levels, sectors):
         idx = np.sort(np.concatenate(blocks))
         w_block = weight[:, idx]
         rows = np.flatnonzero(w_block.count_nonzero(axis=1))
@@ -379,7 +400,7 @@ def _weighted_norm_values(quantity: str, params: ModelParams,
                                      "sectors" % quantity)
         reached = rows
         w_block = w_block[rows]
-        exps = _sector_exponentials(gen, idx, blocks, ts)
+        exps = _sector_exponentials(idx, blocks, sector_dense, ts)
         for k, (t, et) in enumerate(zip(ts, exps)):
             values[k] = max(values[k],
                             operator_norm(w_block @ et) * np.exp(-t * shift))
@@ -426,20 +447,30 @@ def _fiber_matrix_sups(ts: Sequence[float], lambda1: float, dim: int,
 
     Each fiber is the 1D non-normal matrix diag(0..dim-1) + 1 + i b x with
     b = sqrt(xi^2 + lambda1^2); its true norm is e^{-t} e^{u(t) b^2}, so
-    this doubles as a matrix-exponential validation of that formula.  The
-    stack of fibers is built once and exponentiated along the t grid by
-    ``_chained_exponentials``, which squares E(t/2) where the grid has it.
+    this doubles as a matrix-exponential validation of that formula.
+
+    The fibers are taken in a real gauge: with the unitary D = diag(i^n),
+    D^{-1} (i x) D = -d exactly, d = (a - a^T) / sqrt(2) the skew derivative
+    matrix, so the real fiber diag(n + 1) - b d has the same singular values
+    at every t.  The stack of real fibers is built once and exponentiated
+    along the t grid by ``_chained_exponentials``, which squares E(t/2)
+    where the grid has it.  The largest singular value of each E is the
+    square root of the top eigenvalue of E^T E, from one batched
+    ``eigvalsh`` per t: that eigenvalue carries an absolute error of about
+    eps ||E||^2, so its square root keeps about eps relative accuracy.
     """
-    x1, _, _ = _ops_1d(dim)
+    _, derivative, _ = _ops_1d(dim)
     base = np.diag(np.arange(dim, dtype=float)) + np.eye(dim)
     xis = xi_grid[xi_grid != 0.0]
     b = np.hypot(xis, lambda1)
-    fibers = base + 1j * b[:, None, None] * x1
+    fibers = base - b[:, None, None] * derivative
     exps = _chained_exponentials(fibers, ts)
-    return [float(np.max(np.abs(xis)
-                         * np.linalg.norm(exps[t], 2, axis=(1, 2)),
-                         initial=0.0))
-            for t in ts]
+    sups = []
+    for t in ts:
+        gram = np.matmul(exps[t].transpose(0, 2, 1), exps[t])
+        top = np.linalg.eigvalsh(gram)[:, -1]
+        sups.append(float(np.max(np.abs(xis) * np.sqrt(top), initial=0.0)))
+    return sups
 
 
 def decay_curve(quantity_label: str, params: ModelParams,

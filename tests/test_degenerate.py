@@ -1,11 +1,29 @@
 """Fiberwise analysis of the linear-potential (degenerate) model."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
+from kfpq import degenerate
 from kfpq.degenerate import (F, decay_bound_degenerate, fiber_exponent,
                              fiber_norm, optimal_weight, sup_weighted)
+
+
+def _exponent_reference(t: float):
+    """tanh(t/2) - t/2 at 50 digits, from the exact value of the double t."""
+    with mpmath.workdps(50):
+        x = mpmath.mpf(t)
+        return mpmath.tanh(x / 2) - x / 2
+
+
+def _exponent_error(t: float) -> float:
+    ref = _exponent_reference(t)
+    with mpmath.workdps(50):
+        return float(abs((fiber_exponent(t) - ref) / ref))
 
 
 class TestFiberExponent:
@@ -24,9 +42,28 @@ class TestFiberExponent:
             assert abs(got - direct) <= 1e-8 * abs(direct)
 
     def test_series_seam(self):
-        lo = fiber_exponent(0.05 * (1 - 1e-10))
-        hi = fiber_exponent(0.05 * (1 + 1e-10))
-        assert abs(hi / lo - 1.0) < 1e-9
+        # the last double below the switch takes the series, the switch
+        # itself the direct difference; |u'/u| is about 6 there, so the
+        # two neighbours differ by a few ulp
+        switch = degenerate._U_SWITCH
+        below = float(np.nextafter(switch, 0.0))
+        assert abs(fiber_exponent(switch) / fiber_exponent(below) - 1.0) \
+            < 1e-14
+        for t in (below, switch, float(np.nextafter(switch, 1.0))):
+            assert _exponent_error(t) <= 1e-14
+
+    def test_series_coefficients_from_bernoulli_numbers(self):
+        for n, coefficient in enumerate(degenerate._U_SERIES, start=2):
+            exact = (2 * (2 ** (2 * n) - 1) * mpmath.bernoulli(2 * n)
+                     / math.factorial(2 * n))
+            assert coefficient == pytest.approx(float(exact), rel=1e-15)
+
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(min_value=math.log(1e-6), max_value=math.log(1e3)))
+    def test_relative_error_against_mpmath(self, log_t):
+        # log-uniform t over [1e-6, 1e3], both branches
+        assert _exponent_error(math.exp(log_t)) <= 1e-14
 
     def test_cubic_window(self):
         for t in np.linspace(0.01, 0.5, 25):

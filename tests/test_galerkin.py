@@ -259,6 +259,29 @@ class TestParitySectors:
                     assert not np.any(k[np.ix_(rows, cols)])
 
     @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("dims", [12, 11])
+    def test_level_blocks_from_coupling_match_sliced_blocks(self, alpha,
+                                                            dims):
+        params = ModelParams(2.7, alpha)
+        size, levels = galerkin._conserved_levels(params, dims)
+        gen = build("K", params, size, size)
+        every = levels[0] + levels[1]
+        kept = np.concatenate(every)
+        coupling = gen[np.ix_(kept, kept)].tocoo()
+        cut = galerkin._level_blocks(coupling, [len(s) for s in every])
+        assert len(cut) == len(every)
+        for states, block in zip(every, cut):
+            assert np.array_equal(block, gen[np.ix_(states, states)].toarray())
+
+    def test_level_blocks_sum_duplicate_entries(self):
+        # two levels of sizes 2 and 1; (0, 1) is stored twice
+        coupling = scipy.sparse.coo_array(
+            ([1.0, 2.0, 3.0], ([0, 0, 2], [1, 1, 2])), shape=(3, 3))
+        first, second = galerkin._level_blocks(coupling, [2, 1])
+        assert np.array_equal(first, [[0.0, 3.0], [0.0, 0.0]])
+        assert np.array_equal(second, [[3.0]])
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
     def test_sector_exponential_matches_kept_block_expm(self, alpha):
         params = ModelParams(2.0, alpha)
         size, levels = galerkin._conserved_levels(params, 12)
@@ -267,7 +290,9 @@ class TestParitySectors:
         for blocks in levels:
             idx = np.sort(np.concatenate(blocks))
             kept = gen.toarray()[np.ix_(idx, idx)]
-            assembled = galerkin._sector_exponentials(gen, idx, blocks, ts)
+            dense = [gen[np.ix_(states, states)].toarray()
+                     for states in blocks]
+            assembled = galerkin._sector_exponentials(idx, blocks, dense, ts)
             for t, et in zip(ts, assembled):
                 assert np.max(np.abs(et - scipy.linalg.expm(-t * kept))) \
                     <= 1e-13
@@ -404,6 +429,21 @@ class TestDecayCurves:
             direct.append(float(np.max(xis * norms)))
         chained = galerkin._fiber_matrix_sups(ts, lambda1, dim, xi_grid)
         assert chained == pytest.approx(direct, rel=1e-14)
+
+    @pytest.mark.parametrize("dim", [20, 28])
+    def test_fiber_gauge_is_exact(self, dim):
+        # D = diag(i^n) takes i x to the real skew matrix -d, entry by entry
+        position, derivative, _ = galerkin._ops_1d(dim)
+        d = np.array([1, 1j, -1, -1j])[np.arange(dim) % 4]
+        gauged = d.conj()[:, None] * (1j * position) * d[None, :]
+        assert np.array_equal(gauged.real, -derivative)
+        assert not np.any(gauged.imag)
+
+    def test_fiber_grid_of_zero_only_gives_zero(self):
+        # xi = 0 is dropped, so every t reduces an empty stack
+        sups = galerkin._fiber_matrix_sups((0.5, 1.0, 2.0), 1.0, 20,
+                                           np.array([0.0]))
+        assert sups == [0.0, 0.0, 0.0]
 
     def test_degenerate_fiber_curve(self):
         curve = decay_curve("degenerate_fiber", ModelParams(0.0, 0.0, 1.0),
