@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from kfpq.biquat import Biquaternion
+from kfpq.positivity import _bracket
 from kfpq.symbols import ModelParams, generator_hessian, hamilton_map
 
 __all__ = [
@@ -44,6 +45,10 @@ C0 = float(np.exp(-1.0))
 #: used by the remainder envelope.  Measured maxima over the acceptance grids
 #: stay at 6.0 to six digits.
 SMALL_TIME_QUOTIENT_CONSTANT = 6.0
+
+_IDENTIFICATION_TOL = 1e-10
+_REGIME_NUS = (1.0, 1e2, 1e4)
+_REGIME_POINTS = 80
 
 
 class DegenerateEigenbasis(np.linalg.LinAlgError):
@@ -100,7 +105,7 @@ def _trig_factors(t: float, r1: float):
     return np.cos(half), np.sin(half) / r1
 
 
-def reduce(params: ModelParams, tol: float = 1e-10) -> BargmannReduction:
+def reduce(params: ModelParams) -> BargmannReduction:
     """Identify the reduced flow matrix M from the adjoint Hamilton map.
 
     Splits the eigenvectors of the Hamilton map of the adjoint symbol by the
@@ -152,7 +157,7 @@ def reduce(params: ModelParams, tol: float = 1e-10) -> BargmannReduction:
     b = coeffs.reshape(2, 2)
     scale = max(1.0, float(np.max(np.abs(hess))))
     residual = float(np.max(np.abs(cand_hessian(b) - hess)))
-    if residual > tol * scale:
+    if residual > _IDENTIFICATION_TOL * scale:
         raise DegenerateEigenbasis(
             "identification residual %g exceeds tolerance" % residual)
     m = (np.eye(2) - 1j * a_plus) @ b
@@ -201,14 +206,16 @@ def quotient(t: float, params: ModelParams) -> WeightedQuotient:
 
         Q_t(e'_q) = 4 (sinh^2(t/2) - S^2) / ((1 - e^{-t}) + 2 S^2 + 2 S C)
 
-    and sup |z_q|^2 e^{-Q_t(z)/2} over C^2 equals 2 c0 / Q_t(e'_q).
+    and sup |z_q|^2 e^{-Q_t(z)/2} over C^2 equals 2 c0 / Q_t(e'_q).  The
+    numerator, about nu t^4 / 12 at small t, is -2 times the series-protected
+    bracket 2 S^2 - (cosh t - 1) of ``positivity.delta0``.
     """
     _require_oscillatory(params)
     if t <= 0:
         raise ValueError("quotient is defined for t > 0")
     c, s = _trig_factors(t, params.r1)
-    num = 4 * (np.sinh(t / 2) ** 2 - s * s)
-    den = (1 - np.exp(-t)) + 2 * s * s + 2 * s * c
+    num = -2.0 * _bracket(t, params.n1sq).real
+    den = -np.expm1(-t) + 2 * s * s + 2 * s * c
     q_val = float(num / den)
     lam_minus = gram_eigenvalues(t, params).lambda_minus
     return WeightedQuotient(t=float(t), params=params, Q_t_eq=q_val,
@@ -252,24 +259,25 @@ def remainder_bound(t: float, params: ModelParams) -> float:
     return float(min(master, envelope))
 
 
-def quotient_regime_constants(nu_values=(1.0, 1e2, 1e4), n_points: int = 80):
+def quotient_regime_constants():
     """Fitted constants for the two 1/Q_t regimes.
 
     c_small = max of nu t^3 / Q_t over t in (0, 4/r1] and c_large = max of
-    e^t / Q_t over t in [max(4/r1, 1), 10], both over the given curvatures.
+    e^t / Q_t over t in [max(4/r1, 1), 10], both over nu = 1, 1e2 and 1e4.
     One pair of constants covers all sampled nu; the small-time constant
     tends to 6 (its analytic limit) and the large-time one stays near 2.
     """
     c_small = 0.0
     c_large = 0.0
-    for nu in nu_values:
+    for nu in _REGIME_NUS:
         p = ModelParams(nu=nu, alpha=np.pi / 2)
         t_edge = 4.0 / p.r1
-        for t in np.logspace(np.log10(t_edge) - 3, np.log10(t_edge), n_points):
+        for t in np.logspace(np.log10(t_edge) - 3, np.log10(t_edge),
+                             _REGIME_POINTS):
             q_val = quotient(float(t), p).Q_t_eq
             c_small = max(c_small, nu * t ** 3 / q_val)
         t_lo = max(t_edge, 1.0)
-        for t in np.linspace(t_lo, 10.0, n_points):
+        for t in np.linspace(t_lo, 10.0, _REGIME_POINTS):
             q_val = quotient(float(t), p).Q_t_eq
             c_large = max(c_large, np.exp(t) / q_val)
     return float(c_small), float(c_large)

@@ -8,7 +8,7 @@ divisors.  The complex-valued quadratic form
 is multiplicative and detects invertibility (it is not a metric norm).  The
 ring is isomorphic to the algebra of complex 2x2 matrices; ``to_matrix``
 realizes that isomorphism and serves as an independent oracle for the
-exponential and the spectrum in the test suite.
+exponential and the norm form in the test suite.
 
 Conventions: i*j = k, j*k = i, k*i = j, and the scalar imaginary unit of the
 coefficients commutes with everything.
@@ -113,7 +113,7 @@ class Biquaternion:
     def max_coeff(self) -> float:
         return max(abs(self.a), abs(self.b), abs(self.c), abs(self.d))
 
-    def inv(self, tol: float | None = None) -> "Biquaternion":
+    def inv(self) -> "Biquaternion":
         """Two-sided inverse conj(w)/N(w).
 
         Raises SingularBiquaternion when |N| falls below the scale-aware
@@ -121,9 +121,8 @@ class Biquaternion:
         1 + (scalar i) * i have N exactly zero.
         """
         n = self.norm()
-        if tol is None:
-            m = self.max_coeff()
-            tol = 1e-12 * (1.0 + m * m)
+        m = self.max_coeff()
+        tol = 1e-12 * (1.0 + m * m)
         if abs(n) <= tol:
             raise SingularBiquaternion(
                 "norm form %r is below tolerance %g" % (n, tol))
@@ -143,11 +142,6 @@ class Biquaternion:
         return Biquaternion(ea * c, ea * s * self.b, ea * s * self.c,
                             ea * s * self.d)
 
-    def spectrum(self):
-        """Eigenvalues a +- sqrt(-N(v)) of the 2x2 matrix image."""
-        s = np.sqrt(complex(-self.vector_norm()))
-        return (self.a + s, self.a - s)
-
     # matrix representation ----------------------------------------------
 
     def to_matrix(self) -> np.ndarray:
@@ -158,13 +152,3 @@ class Biquaternion:
         a, b, c, d = self.a, self.b, self.c, self.d
         return np.array([[a + 1j * b, c + 1j * d],
                          [-c + 1j * d, a - 1j * b]])
-
-    @classmethod
-    def from_matrix(cls, m) -> "Biquaternion":
-        m = np.asarray(m, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError("expected a 2x2 matrix, got shape %r" % (m.shape,))
-        return cls((m[0, 0] + m[1, 1]) / 2,
-                   (m[0, 0] - m[1, 1]) / 2j,
-                   (m[0, 1] - m[1, 0]) / 2,
-                   (m[0, 1] + m[1, 0]) / 2j)

@@ -4,8 +4,8 @@
 A compute command prints one sweep's table (CSV, or JSON with ``--format
 json``); its rows end in t, analytic, bound, oracle, rel_discrepancy and
 converged_flag, the verdict under the covering criterion's tolerance.  Output
-for a fixed configuration and seed is byte-identical across runs; timings go
-to stderr only.  Exit codes: 0 success, 1 acceptance failure (verify-all), 2
+for a fixed configuration is byte-identical across runs; timings go to stderr
+only.  Exit codes: 0 success, 1 acceptance failure (verify-all), 2
 configuration error, 3 numerical failure.
 """
 
@@ -95,14 +95,14 @@ def _parse_alpha(value):
     raise ConfigError("field 'alpha': expected '0' or 'pi2', got %r" % (value,))
 
 
-def _parse_int(value, field: str, minimum: int):
+def _parse_dims(value):
     try:
         out = int(value)
     except (TypeError, ValueError, OverflowError):
-        raise ConfigError("field '%s': expected an integer, got %r"
-                          % (field, value))
-    if out < minimum:
-        raise ConfigError("field '%s': must be >= %d" % (field, minimum))
+        raise ConfigError("field 'dims': expected an integer, got %r"
+                          % (value,))
+    if out < 8:
+        raise ConfigError("field 'dims': must be >= 8")
     return out
 
 
@@ -134,8 +134,7 @@ _PARSERS = {
     "lambda1": lambda v: _parse_float_list(v, "lambda1"),
     "t": _parse_t_grid,
     "alpha": _parse_alpha,
-    "dims": lambda v: _parse_int(v, "dims", 8),
-    "seed": lambda v: _parse_int(v, "seed", 0),
+    "dims": _parse_dims,
     "format": _parse_format,
     "criteria": _parse_criteria,
     "out": lambda v: None if v is None else str(v),
@@ -292,7 +291,7 @@ def _cmd_subelliptic(opts):
 
 def _cmd_verify_all(opts) -> int:
     """Write the report; the exit code is 0 when every criterion passes."""
-    results = run_criteria(opts["criteria"], seed=opts["seed"])
+    results = run_criteria(opts["criteria"])
     lines = []
     for res in results:
         status = "PASS" if res.passed else "FAIL"
@@ -335,7 +334,7 @@ _COMMANDS = {
     "subelliptic": ("generalized pencil constant", _cmd_subelliptic,
                     {"nu": "1,-1", "dims": "16", **_TABLE}),
     "verify-all": ("run the acceptance criteria", _cmd_verify_all,
-                   {"criteria": None, "seed": "0", "out": None}),
+                   {"criteria": None, "out": None}),
 }
 
 # option -> add_argument keywords of its flag
@@ -348,7 +347,6 @@ _FLAGS = {
     "alpha": {"choices": ("0", "pi2"),
               "help": "potential angle (default: both)"},
     "dims": {"help": "Hermite modes per factor (at least 8)"},
-    "seed": {"help": "seed for criterion 1's random draws"},
     "criteria": {"help": "comma-separated criterion numbers"},
     "out": {"metavar": "PATH",
             "help": "write output to PATH instead of stdout"},

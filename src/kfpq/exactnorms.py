@@ -41,6 +41,8 @@ __all__ = [
     "boosted_state_norm_quadrature",
 ]
 
+_RESOLVENT_TOL = 1e-8
+_GH_NODES = 180
 # Beyond this half-argument theta the mu factors switch to their logarithmic
 # asymptotics, well before the eigenvalue route's cosh^4(theta) reaches the
 # double-precision ceiling near theta = 177; the asymptotics are off by
@@ -138,13 +140,13 @@ def semigroup_norm(t: float, nu: float) -> NormResult:
                       log_quotient=float(-2.0 * np.log(a_val + s_val)))
 
 
-def resolvent_bound(nu: float, tol: float = 1e-8) -> ResolventBound:
+def resolvent_bound(nu: float) -> ResolventBound:
     """Quadrature of the exact semigroup norm over t, with analytic tail.
 
     integral = int_0^infty exp(-Argsh S(t)) dt bounds the resolvent norm at
     the origin; c_ratio = integral / (log nu / sqrt(nu)) exposes the
     logarithmic scaling.  Raises QuadratureNotConverged if the adaptive
-    error estimate exceeds ``tol``.
+    error estimate exceeds ``_RESOLVENT_TOL``.
     """
     if nu < 10:
         raise ValueError("resolvent scaling is studied for nu >= 10")
@@ -158,9 +160,9 @@ def resolvent_bound(nu: float, tol: float = 1e-8) -> ResolventBound:
     value, err = integrate.quad(integrand, 0.0, t_cut, limit=400,
                                 epsabs=1e-12, epsrel=1e-12)
     tail = 4.0 * np.exp(-0.5 * t_cut * n1)
-    if err + tail > tol:
-        raise QuadratureNotConverged(
-            "resolvent integral error %g above %g" % (err + tail, tol))
+    if err + tail > _RESOLVENT_TOL:
+        raise QuadratureNotConverged("resolvent integral error %g above %g"
+                                     % (err + tail, _RESOLVENT_TOL))
     integral = float(value + tail)
     return ResolventBound(integral=integral,
                           c_ratio=float(integral / (np.log(nu) / np.sqrt(nu))))
@@ -235,14 +237,14 @@ def _axis_scale(fax) -> float:
     return 64.0
 
 
-def _gauss_hermite_2d(f, n: int = 180) -> float:
-    """Tensor Gauss-Hermite integral of f over the plane.
+def _gauss_hermite_2d(f) -> float:
+    """Tensor Gauss-Hermite integral of f over the plane, ``_GH_NODES`` a side.
 
     Axes are rotated by pi/4 (the boosted Gaussians are elongated along the
     diagonals) and each axis is scaled by the decay-probed length of f.
     Weights are applied in log form so strongly scaled axes do not underflow.
     """
-    x, w = np.polynomial.hermite.hermgauss(n)
+    x, w = np.polynomial.hermite.hermgauss(_GH_NODES)
     logw = np.log(w) + x * x
     r = 1.0 / np.sqrt(2.0)
     s1 = _axis_scale(lambda u: float(f(np.array([r * u]), np.array([r * u]))[0]))
@@ -260,16 +262,16 @@ def overlap_closed(big_l: float) -> float:
     return float(1.0 / np.cosh(big_l))
 
 
-def overlap_quadrature(big_l: float, n: int = 180) -> float:
+def overlap_quadrature(big_l: float) -> float:
     phi_l = _slice_field(big_l)
     phi_0 = _slice_field(0.0)
-    return _gauss_hermite_2d(lambda q, p: phi_l(q, p) * phi_0(q, p), n)
+    return _gauss_hermite_2d(lambda q, p: phi_l(q, p) * phi_0(q, p))
 
 
-def boosted_state_norm_quadrature(s: float, n: int = 180) -> float:
+def boosted_state_norm_quadrature(s: float) -> float:
     """||phi_s||^2 by quadrature; equals 1 for every boost."""
     phi = _slice_field(s)
-    return _gauss_hermite_2d(lambda q, p: phi(q, p) ** 2, n)
+    return _gauss_hermite_2d(lambda q, p: phi(q, p) ** 2)
 
 
 def oscillator_norm_closed(s: float) -> float:
@@ -277,7 +279,7 @@ def oscillator_norm_closed(s: float) -> float:
     return float(np.cosh(4.0 * s) / 4.0)
 
 
-def oscillator_norm_quadrature(s: float, n: int = 180) -> float:
+def oscillator_norm_quadrature(s: float) -> float:
     """||O_p phi_s||^2 by quadrature on the explicit Gaussian image.
 
     O_p phi_s = (p^2 - (a sh + b ch)^2 + cosh 2s) phi_s / 2 follows from
@@ -292,7 +294,7 @@ def oscillator_norm_quadrature(s: float, n: int = 180) -> float:
         g = 0.5 * (p * p - (a * sh + b * ch) ** 2 + np.cosh(2.0 * s))
         return (g * phi(q, p)) ** 2
 
-    return _gauss_hermite_2d(integrand, n)
+    return _gauss_hermite_2d(integrand)
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,10 @@ __all__ = [
 ]
 
 
+_IMAG_TOL = 1e-10
+_EPSILON0 = 0.5
+
+
 class NonRealDelta0(ArithmeticError):
     """The closed threshold came out non-finite or not real."""
 
@@ -177,7 +181,7 @@ def _bracket(t: float, n1sq: float) -> complex:
     return 2 * s * s - (np.cosh(t) - 1.0)
 
 
-def delta0(t: float, params: ModelParams, imag_tol: float = 1e-10) -> float:
+def delta0(t: float, params: ModelParams) -> float:
     """Positivity threshold: the positive root of the determinant in delta.
 
     delta0(t) = (e^{-2 i alpha} / 2) log(1 + 2 A / (X - A)) with
@@ -186,7 +190,7 @@ def delta0(t: float, params: ModelParams, imag_tol: float = 1e-10) -> float:
     delta0 ~ nu t^3 / 12 accurate for curvatures up to at least 1e4.
 
     Raises NonRealDelta0 if the closed expression is not finite or if its
-    imaginary part exceeds imag_tol relative to the real part.
+    imaginary part exceeds ``_IMAG_TOL`` relative to the real part.
     """
     if t <= 0:
         raise ValueError("the threshold is defined for t > 0")
@@ -200,17 +204,16 @@ def delta0(t: float, params: ModelParams, imag_tol: float = 1e-10) -> float:
     if not np.isfinite(val):
         raise NonRealDelta0("threshold is %r at t=%g" % (complex(val), t))
     scale = max(1.0, abs(val.real))
-    if abs(val.imag) > imag_tol * scale:
+    if abs(val.imag) > _IMAG_TOL * scale:
         raise NonRealDelta0(
             "threshold has imaginary part %g at t=%g" % (val.imag, t))
     return float(val.real)
 
 
-def position_weight_decay_bound(t: float, params: ModelParams,
-                                epsilon0: float = 0.5) -> float:
+def position_weight_decay_bound(t: float, params: ModelParams) -> float:
     """Decay envelope of the position-weighted semigroup.
 
-    With delta(t) = delta0(t) / 2 and t0 = epsilon0 / (1 + sqrt(nu)):
+    With delta(t) = delta0(t) / 2 and t0 = _EPSILON0 / (1 + sqrt(nu)):
 
         t <= t0:  sqrt(nu / delta(t))  c1 e^{-t sqrt(nu)}
         t >  t0:  sqrt(nu / delta(t0)) c1 e^{-t sqrt(nu)} e^{-(t - t0)/2}
@@ -221,11 +224,9 @@ def position_weight_decay_bound(t: float, params: ModelParams,
         raise ValueError("decay envelope needs nu > 0")
     if t <= 0:
         raise ValueError("decay envelope is defined for t > 0")
-    if not 0.0 < epsilon0 < 1.0:
-        raise ValueError("epsilon0 must lie in (0, 1)")
     c1 = np.sqrt(0.5) * np.exp(-0.5)
     rnu = np.sqrt(params.nu)
-    t0 = epsilon0 / (1.0 + rnu)
+    t0 = _EPSILON0 / (1.0 + rnu)
     if t <= t0:
         d = delta0(t, params) / 2.0
         return float(np.sqrt(params.nu / d) * c1 * np.exp(-t * rnu))

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 _ALPHA_TOL = 1e-12
+_SYMMETRY_TOL = 1e-12
 
 
 class NonSymmetricInput(ValueError):
@@ -185,22 +186,23 @@ def generator_hessian(params: ModelParams) -> np.ndarray:
     return oscillator_p_hessian() + params.z * transport_hessian(params.alpha)
 
 
-def hamilton_map(hessian, tol: float = 1e-12) -> np.ndarray:
+def hamilton_map(hessian) -> np.ndarray:
     """Fundamental matrix of a quadratic symbol given its full Hessian.
 
     Composes the Hessian with the standard symplectic form so that the map
     sends (x, xi) to (q''_{xi x} x + q''_{xi xi} xi, -q''_{x x} x - q''_{x xi} xi)
     without any extra factor of one half.
 
-    Raises NonSymmetricInput when the input fails symmetry beyond ``tol``
-    relative to its magnitude.
+    Raises NonSymmetricInput when the input fails symmetry beyond
+    ``_SYMMETRY_TOL`` relative to its magnitude.
     """
     h = np.asarray(hessian, dtype=complex)
     if h.shape != (4, 4):
         raise ValueError("expected a 4x4 Hessian, got shape %r" % (h.shape,))
     scale = max(1.0, float(np.max(np.abs(h))))
-    if float(np.max(np.abs(h - h.T))) > tol * scale:
-        raise NonSymmetricInput("Hessian is not symmetric within %g" % tol)
+    if float(np.max(np.abs(h - h.T))) > _SYMMETRY_TOL * scale:
+        raise NonSymmetricInput("Hessian is not symmetric within %g"
+                                % _SYMMETRY_TOL)
     return np.block([[h[2:, :2], h[2:, 2:]],
                      [-h[:2, :2], -h[:2, 2:]]])
 

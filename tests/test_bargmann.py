@@ -1,8 +1,12 @@
 """Holomorphic-side Gram analysis for the attracting oscillatory regime."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, settings, strategies as st
 
 from kfpq.bargmann import (gram_eigenvalues, gram_matrix,
                            lambda_minus_log_form, quotient,
@@ -85,7 +89,31 @@ def test_small_eigenvalue_limit_at_zero_time():
     assert pair.lambda_minus - 1.0 < 1e-7
 
 
+def _quotient_reference(t: float, nu: float):
+    """Q_t(e'_q) at 50 digits, from the exact values of the doubles t, nu."""
+    with mpmath.workdps(50):
+        t, nu = mpmath.mpf(t), mpmath.mpf(nu)
+        r1 = mpmath.sqrt(4 * nu - 1)
+        c = mpmath.cos(t * r1 / 2)
+        s = mpmath.sin(t * r1 / 2) / r1
+        num = 4 * (mpmath.sinh(t / 2) ** 2 - s * s)
+        return num / (-mpmath.expm1(-t) + 2 * s * s + 2 * s * c)
+
+
 class TestQuotient:
+    @settings(max_examples=400, deadline=None, derandomize=True,
+              database=None)
+    @given(st.floats(min_value=math.log(0.3), max_value=math.log(1e4)),
+           st.floats(min_value=math.log(1e-6), max_value=math.log(10.0)))
+    def test_relative_error_against_mpmath(self, log_nu, log_t):
+        # log-uniform nu over [0.3, 1e4] and t over [1e-6, 10]; the
+        # numerator cancels down to about nu t^4 / 12 at small t
+        nu, t = math.exp(log_nu), math.exp(log_t)
+        ref = _quotient_reference(t, nu)
+        got = quotient(t, params_for(nu)).Q_t_eq
+        with mpmath.workdps(50):
+            assert float(abs(got / ref - 1)) <= 1e-8
+
     def test_sup_value_composition(self):
         q = quotient(0.9, params_for(4.0))
         assert q.Q_t_eq > 0
@@ -100,7 +128,7 @@ class TestQuotient:
             assert abs(direct / analytic - 1.0) <= 1e-10, t
 
     def test_regime_constants_frozen(self):
-        c_small, c_large = quotient_regime_constants((1.0, 1e2, 1e4))
+        c_small, c_large = quotient_regime_constants()
         assert abs(c_small - 6.0) < 1e-3
         assert abs(c_large - 2.04) < 1e-2
 

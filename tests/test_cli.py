@@ -82,6 +82,29 @@ class TestVerdicts:
                 if row.startswith("10000,") and row.split(",")[2] == "0"]
         assert zero and all(row.split(",")[5] == "0" for row in zero)
 
+    @pytest.mark.parametrize("field, closed, factor", [
+        ("x0_norm_sq", "x0_norm_sq", 1.201),
+        ("u_norm_sq", "u_norm_sq_lower", 0.999),
+        ("op_norm_sq", "op_bound_sq", 1.201),
+        ("quotient", "rayleigh_bound", 1.201)])
+    def test_optimality_verdict_is_criterion_7s_check(self, capsys,
+                                                      monkeypatch, field,
+                                                      closed, factor):
+        # each of the four comparisons alone, just past its limit, turns
+        # the row and criterion 7 false
+        nu = float(np.exp(9.0))
+        limit = getattr(acceptance.optimality_witness(nu), closed) * factor
+        perturbed = dataclasses.replace(
+            acceptance.witness_rayleigh_numeric(nu), **{field: limit})
+        monkeypatch.setattr(acceptance, "witness_rayleigh_numeric",
+                            lambda nu: perturbed)
+        rc, out, _ = run(capsys, ["optimality"])
+        assert rc == 0
+        assert _verdicts(out) == ["false"]
+        result = acceptance.CRITERIA[7]()
+        assert not result.passed
+        assert result.details.endswith("grid witness INCONSISTENT")
+
     def test_positivity_verdict_reads_the_residual(self, capsys, monkeypatch):
         def off_threshold(*args, original=acceptance.positivity_report):
             return dataclasses.replace(original(*args), det_residual=1e-6)
@@ -104,7 +127,7 @@ class TestCommandFlags:
         "optimality": TABLE | {"--nu"},
         "degenerate": TABLE | {"--lambda1", "--t"},
         "subelliptic": TABLE | {"--nu", "--dims"},
-        "verify-all": COMMON | {"--criteria", "--seed"},
+        "verify-all": COMMON | {"--criteria"},
     }
 
     def test_each_command_accepts_its_flags(self):
@@ -162,6 +185,14 @@ class TestConfigPrecedence:
         rc, _, err = run(capsys, ["norms", "--config", str(cfg)])
         assert rc == 2
         assert "not an option" in err
+
+    def test_seed_in_config_is_exit_2(self, capsys, tmp_path):
+        # the battery has no seed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0}))
+        rc, out, err = run(capsys, ["verify-all", "--config", str(cfg)])
+        assert (rc, out) == (2, "")
+        assert "field 'seed': not an option of command 'verify-all'" in err
 
 
 class TestErrorExits:
@@ -236,6 +267,13 @@ class TestErrorExits:
         assert "NonFiniteDeterminant" in err or "NonRealDelta0" in err
         assert "t=3" in err
         assert "RuntimeWarning" not in err
+
+    def test_seed_flag_is_exit_2(self, capsys):
+        # the battery has no seed; argparse rejects the flag
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-all", "--seed", "0"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
 
     def test_config_error_importable(self):
         assert issubclass(ConfigError, ValueError)

@@ -205,5 +205,3 @@ class TestDecayEnvelope:
         params = ModelParams(nu=1.0)
         with pytest.raises(ValueError):
             position_weight_decay_bound(0.0, params)
-        with pytest.raises(ValueError):
-            position_weight_decay_bound(1.0, params, epsilon0=0.0)
