@@ -261,13 +261,23 @@ def sweep_subelliptic(nus, dims):
 # acceptance criteria
 
 
-def _matrix_exp_series(m: np.ndarray) -> np.ndarray:
-    out = np.eye(m.shape[0], dtype=complex)
-    term = np.eye(m.shape[0], dtype=complex)
+def _matrix_exp_series(stack: np.ndarray) -> np.ndarray:
+    """e^m of each matrix m of a stack (k, n, n) from its power series.
+
+    A matrix stops after the first term whose entries are all below 1e-20
+    in modulus, or after _SERIES_TERMS terms; later terms of the others
+    leave it as it is.
+    """
+    out = np.broadcast_to(np.eye(stack.shape[1], dtype=complex),
+                          stack.shape).copy()
+    term = out.copy()
+    live = np.arange(len(stack))
     for k in range(1, _SERIES_TERMS):
-        term = term @ m / k
-        out = out + term
-        if np.max(np.abs(term)) < 1e-20:
+        term = np.matmul(term, stack[live]) / k
+        out[live] = out[live] + term
+        going = np.max(np.abs(term), axis=(1, 2)) >= 1e-20
+        live, term = live[going], term[going]
+        if not live.size:
             break
     return out
 
@@ -299,15 +309,16 @@ def _criterion(number: int, name: str, budget: float):
 def criterion_1():
     """Biquaternion exponential and multiplicative norm against 2x2 series."""
     rng = np.random.RandomState(0)
+    draws = [Biquaternion(*(0.8 * (rng.randn(4) + 1j * rng.randn(4))))
+             for _ in range(200)]
+    matrices = np.stack([w.to_matrix() for w in draws])
+    series = _matrix_exp_series(matrices)
     worst_exp = 0.0
     worst_det = 0.0
-    for _ in range(200):
-        coeffs = 0.8 * (rng.randn(4) + 1j * rng.randn(4))
-        w = Biquaternion(*coeffs)
+    for w, matrix, reference in zip(draws, matrices, series):
         closed = w.exp().to_matrix()
-        series = _matrix_exp_series(w.to_matrix())
-        worst_exp = max(worst_exp, float(np.max(np.abs(closed - series))))
-        det = complex(np.linalg.det(w.to_matrix()))
+        worst_exp = max(worst_exp, float(np.max(np.abs(closed - reference))))
+        det = complex(np.linalg.det(matrix))
         worst_det = max(worst_det,
                         abs(w.norm() - det) / max(1.0, abs(det)))
     passed = worst_exp <= 1e-10 and worst_det <= 1e-12
@@ -516,17 +527,14 @@ def criterion_9():
 @_criterion(10, "discretization probes", 600.0)
 def criterion_10():
     """Galerkin decay curves and the subelliptic pencil."""
-    required_converged = {1.0: (1.0, 2.0), -1.0: (1.0, 2.0),
-                          4.0: (0.5, 1.0, 2.0)}
     curves_ok = True
     flags_ok = True
-    for signed_nu, required in required_converged.items():
+    for signed_nu in (1.0, -1.0, 4.0):
         curve = decay_curve("derivative_weight", _signed_params(signed_nu),
-                            (0.5, 1.0, 2.0), dims=64, strict=False)
+                            (0.5, 1.0, 2.0), dims=96, strict=False)
         for s in curve.samples:
             curves_ok = curves_ok and s.oracle <= s.bound * (1.0 + 1e-9)
-            if s.t in required:
-                flags_ok = flags_ok and s.converged
+            flags_ok = flags_ok and s.converged
     for lam in (0.0, 1.0):
         params = ModelParams(nu=0.0, alpha=0.0, lambda1=lam)
         curve = decay_curve("degenerate_fiber", params, (0.5, 1.0, 2.0),

@@ -16,6 +16,7 @@ coefficients commutes with everything.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,7 +62,7 @@ class Biquaternion:
     def __post_init__(self):
         for name in ("a", "b", "c", "d"):
             v = complex(getattr(self, name))
-            if not (np.isfinite(v.real) and np.isfinite(v.imag)):
+            if not cmath.isfinite(v):
                 raise NonFiniteBiquaternion("non-finite coefficient %s = %r"
                                             % (name, v))
             object.__setattr__(self, name, v)

@@ -4,11 +4,13 @@ Everything here is deliberately different from the closed-form modules: the
 generator and the weight operators are assembled as sparse sums of Kronecker
 products of one-variable ladder matrices in the Hermite basis of L^2(R^2)
 (see ``build``), exponentiated on the levels the generator conserves, and
-measured through their largest singular values: one ARPACK Lanczos run on
-each parity sector (see ``operator_norm``), and the top eigenvalue of the
-Gram matrix of each small degenerate fiber, taken in a real gauge (see
-``_fiber_matrix_sups``).  Agreement between these numbers and the closed
-forms is the main cross-check of the package.
+measured through their largest singular values: one certified ARPACK
+Lanczos run on each parity sector, which applies the exponential one level
+block at a time and never assembles the sector matrix (see
+``operator_norm``), and the top eigenvalue of the Gram matrix of each small
+degenerate fiber, taken in a real gauge (see ``_fiber_matrix_sups``).
+Agreement between these numbers and the closed forms is the main
+cross-check of the package.
 The subelliptic pencil is assembled sparse from the same operators and
 solved densely on each parity of m + n (see ``subelliptic_constant``).
 
@@ -20,7 +22,8 @@ by the (m, n) box.  Attracting levels are finite chains of L + 1 states;
 keeping the levels L <= dims - 1 whole makes W e^{-t K} an exact
 compression of the untruncated operator.  Repelling levels are infinite
 chains; the levels |L| <= dims - 1 are kept, each cut at dims // 2 states.
-Every level is exponentiated on its own, and the norms of the even and the
+Every level is exponentiated on its own, the levels of each parity sector
+are stacked zero-padded to the widest, and the norms of the even and the
 odd sector are taken separately (see ``decay_curve``).  Along a t grid, an
 exponential at 2t is the square of the one at t whenever t is on the grid,
 for the level blocks and for the stack of degenerate fibers alike.
@@ -212,28 +215,51 @@ def semigroup_matrix(gen: np.ndarray, t: float) -> np.ndarray:
     return result
 
 
-def operator_norm(m: np.ndarray) -> float:
-    """Largest singular value: the top eigenvalue of m* m, from one ARPACK
-    Lanczos run to machine precision on the products m* (m x).
+def operator_norm(blocks: np.ndarray, weight) -> float:
+    """Largest singular value of W B, where B = blockdiag(blocks) is the
+    block diagonal of a dense stack ``blocks`` (k, r, c) and W = ``weight``
+    is a sparse matrix with k r columns.
+
+    The norm is the square root of the top eigenvalue of the Gram matrix
+    G = (W B)* (W B), from one ARPACK Lanczos run to machine precision on
+    the products x -> B* (W* (W (B x))).  B is never assembled: it is
+    applied with one batched ``np.matmul`` on the stack.  A dense matrix m
+    is ``operator_norm(m[None], scipy.sparse.eye_array(m.shape[0]))``.
 
     The start vector is deterministic (flat with a bumped first entry) so
-    repeated runs agree bit for bit.  ARPACK needs at least two columns
-    (three when m is complex) and a nonzero m; NormNotConverged is raised
-    when it stops without converging.
+    repeated runs agree bit for bit.  ARPACK needs at least two columns of
+    W B (three when it is complex) and a nonzero W B.  The returned pair
+    (rho, v) is certified by one more product: NormNotConverged is raised
+    when ARPACK stops without converging, or when the Ritz residual
+    ||G v - rho v|| is above 1e-12 rho.
     """
-    n = m.shape[1]
+    count, _, cols = blocks.shape
+    n = count * cols
     v0 = np.ones(n) / np.sqrt(n)
     v0[0] += 0.5
-    mh = m.conj().T
-    gram = scipy.sparse.linalg.LinearOperator(
-        (n, n), matvec=lambda x: mh @ (m @ x),
-        dtype=np.result_type(m.dtype, float))
+    adjoint = blocks.conj().transpose(0, 2, 1)
+    weight_h = weight.conj().T
+
+    def gram(x):
+        y = np.matmul(blocks, x.reshape(count, cols, 1)).reshape(-1)
+        z = weight_h @ (weight @ y)
+        return np.matmul(adjoint, z.reshape(count, -1, 1)).reshape(-1)
+
+    operator = scipy.sparse.linalg.LinearOperator(
+        (n, n), matvec=gram,
+        dtype=np.result_type(blocks.dtype, weight.dtype, float))
     try:
-        top = scipy.sparse.linalg.eigsh(gram, k=1, which="LA", v0=v0, tol=0,
-                                        return_eigenvectors=False)
+        values, vectors = scipy.sparse.linalg.eigsh(operator, k=1, which="LA",
+                                                    v0=v0, tol=0)
     except scipy.sparse.linalg.ArpackError as exc:
         raise NormNotConverged("largest singular value: %s" % exc) from exc
-    return float(np.sqrt(top[0]))
+    top, vector = values[0], vectors[:, 0]
+    residual = np.linalg.norm(gram(vector) - top * vector)
+    if not residual <= 1e-12 * top:
+        raise NormNotConverged("largest singular value: Ritz residual %g "
+                               "above 1e-12 of the top eigenvalue %g"
+                               % (residual, top))
+    return float(np.sqrt(top))
 
 
 # ---------------------------------------------------------------------------
@@ -342,27 +368,33 @@ def _level_blocks(coupling: scipy.sparse.coo_array, sizes) -> list:
     return [flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes)]
 
 
-def _sector_exponentials(idx: np.ndarray, blocks: list, dense: list,
-                         ts: Sequence[float]):
-    """Yield e^{-t K} on the sector ``idx`` for each t of the sorted grid
-    ``ts``, assembled from the exponentials of the level ``blocks`` it
-    holds, whose dense blocks of K are ``dense``.
+def _padded_exponentials(dense: list, ts: Sequence[float]):
+    """Yield the exponentials e^{-t K} of the level blocks ``dense`` of one
+    sector for each t of the sorted grid ``ts``, as one zero-padded stack
+    (levels, width, width), width the largest level.
 
-    Each block is exponentiated and squared along the grid on its own.
+    Each block is exponentiated and squared along the grid on its own, and
+    written into the top-left corner of its slice of the stack.
     """
-    where = [np.searchsorted(idx, states) for states in blocks]
+    width = max(len(block) for block in dense)
     chains = [_chained_exponentials(block, ts) for block in dense]
     for t in ts:
-        et = np.zeros((len(idx), len(idx)))
-        for pos, chain in zip(where, chains):
-            et[np.ix_(pos, pos)] = chain[t]
-        yield et
+        stack = np.zeros((len(dense), width, width))
+        for padded, chain in zip(stack, chains):
+            size = len(chain[t])
+            padded[:size, :size] = chain[t]
+        yield stack
 
 
 def _weighted_norm_values(quantity: str, params: ModelParams,
                           ts: Sequence[float], dims: int) -> list:
     """Shifted oracle values e^{-t shift} ||W e^{-t K}|| at one truncation,
     taken sector by sector from the kept levels of K (see ``decay_curve``).
+
+    On each parity sector the exponential is the zero-padded stack of its
+    level exponentials (see ``_padded_exponentials``), and the columns of W
+    are moved onto the slots of that stack, the padded slots getting none,
+    so the sector norm is ``operator_norm(stack, W)``.
     """
     root_nu = np.sqrt(params.nu)
     size, levels = _conserved_levels(params, dims)
@@ -392,18 +424,25 @@ def _weighted_norm_values(quantity: str, params: ModelParams,
     values = [0.0] * len(ts)
     reached = np.zeros(0, dtype=int)
     for blocks, sector_dense in zip(levels, sectors):
-        idx = np.sort(np.concatenate(blocks))
-        w_block = weight[:, idx]
+        # kept state -> its slot in the padded (levels, width) stack; the
+        # padded slots get no column of the weight
+        width = max(len(states) for states in blocks)
+        slots = np.concatenate([i * width + np.arange(len(states))
+                                for i, states in enumerate(blocks)])
+        placement = scipy.sparse.csr_array(
+            (np.ones(len(slots)), (np.concatenate(blocks), slots)),
+            shape=(size * size, len(blocks) * width))
+        w_block = weight @ placement
         rows = np.flatnonzero(w_block.count_nonzero(axis=1))
         if np.intersect1d(rows, reached).size:
             raise ParityNotConserved("the %s weight couples the two parity "
                                      "sectors" % quantity)
         reached = rows
         w_block = w_block[rows]
-        exps = _sector_exponentials(idx, blocks, sector_dense, ts)
-        for k, (t, et) in enumerate(zip(ts, exps)):
+        stacks = _padded_exponentials(sector_dense, ts)
+        for k, (t, stack) in enumerate(zip(ts, stacks)):
             values[k] = max(values[k],
-                            operator_norm(w_block @ et) * np.exp(-t * shift))
+                            operator_norm(stack, w_block) * np.exp(-t * shift))
     return values
 
 
@@ -492,12 +531,13 @@ def decay_curve(quantity_label: str, params: ModelParams,
     states, when repelling.  K and W are sliced from one assembly at the
     smallest box that holds every kept state and every state W reaches.
     ParityNotConserved is raised if K couples two kept levels.  Each level
-    is exponentiated densely, and squared along the grid, on its own, and
-    written into the exponential of the parity sector of m + n that holds
-    it.  W is applied from the columns of each sector to the rows it
-    reaches; ParityNotConserved is raised if the two sectors reach a common
-    row.  So W e^{-t K} is block diagonal over the sectors, and its norm is
-    the larger of the two sector-block norms.
+    is exponentiated densely, and squared along the grid, on its own; the
+    levels of each parity sector of m + n form one zero-padded stack, and
+    no sector exponential is assembled.  W is applied from the columns of
+    each sector to the rows it reaches; ParityNotConserved is raised if the
+    two sectors reach a common row.  So W e^{-t K} is block diagonal over
+    the sectors, and its norm is the larger of the two sector-block norms,
+    each from one certified ARPACK run (see ``operator_norm``).
 
     The degenerate fiber ignores ``dims``: its sup over xi_q is taken on
     fibers of 28 levels and checked on fibers of 20.

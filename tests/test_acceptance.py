@@ -6,6 +6,7 @@ asserts the verdict together with the wall-clock budget.  The final test
 checks that the reporting pipeline itself is reproducible byte for byte.
 """
 
+import numpy as np
 import pytest
 
 from kfpq import acceptance
@@ -27,6 +28,28 @@ def _check(number: int) -> None:
 
 def test_criterion_01_algebra_closure():
     _check(1)
+
+
+def _series_one_by_one(m):
+    """Criterion 1's reference series for one matrix, term by term."""
+    out = np.eye(2, dtype=complex)
+    term = np.eye(2, dtype=complex)
+    for k in range(1, 80):
+        term = term @ m / k
+        out = out + term
+        if np.max(np.abs(term)) < 1e-20:
+            break
+    return out
+
+
+def test_series_of_stack_matches_matrix_by_matrix():
+    # scales from 1e-3 to 8 stop the matrices at different terms, and the
+    # largest runs to the 80-term cap; batching moves no bit
+    rng = np.random.RandomState(4)
+    stack = np.stack([scale * (rng.randn(2, 2) + 1j * rng.randn(2, 2))
+                      for scale in (1e-3, 0.1, 0.8, 2.0, 8.0) * 4])
+    expected = np.stack([_series_one_by_one(m) for m in stack])
+    assert np.array_equal(acceptance._matrix_exp_series(stack), expected)
 
 
 def test_criterion_02_basis_identities():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from kfpq.biquat import Biquaternion, SingularBiquaternion
+from kfpq.biquat import (Biquaternion, NonFiniteBiquaternion,
+                         SingularBiquaternion)
 
 
 def random_biquat(rng, scale=0.8):
@@ -118,3 +119,21 @@ def test_conjugation_preserves_norm():
     for _ in range(30):
         w = random_biquat(rng)
         assert abs(w.conj().norm() - w.norm()) < 1e-12
+
+
+@pytest.mark.parametrize("slot", range(4))
+@pytest.mark.parametrize("bad", [complex(np.nan, 0.0), complex(0.0, np.nan),
+                                 complex(np.inf, 0.0), complex(0.0, np.inf),
+                                 complex(-np.inf, 0.0),
+                                 complex(0.0, -np.inf)])
+def test_non_finite_coefficient_raises(slot, bad):
+    coeffs = [0.5 + 0.25j] * 4
+    coeffs[slot] = bad
+    with pytest.raises(NonFiniteBiquaternion):
+        Biquaternion(*coeffs)
+
+
+def test_large_finite_coefficients_pass():
+    big = np.finfo(float).max
+    w = Biquaternion(complex(big, -big), -big, complex(0.0, big), 1e300j)
+    assert w.a == complex(big, -big) and w.d == 1e300j

@@ -255,6 +255,22 @@ class TestErrorExits:
         assert rc == 3
         assert "NormNotConverged" in err
 
+    def test_uncertified_norm_is_exit_3(self, capsys, tmp_path,
+                                        monkeypatch):
+        # ARPACK returns, but its Ritz vector is off the top eigenvector
+        real_eigsh = scipy.sparse.linalg.eigsh
+
+        def perturbed(*args, **kwargs):
+            values, vectors = real_eigsh(*args, **kwargs)
+            vectors = vectors + 1e-10 * np.arange(len(vectors))[:, None]
+            return values, vectors / np.linalg.norm(vectors)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+        rc, _, err = run(capsys, ["verify-all", "--criteria", "5",
+                                  "--out", str(tmp_path / "v.txt")])
+        assert rc == 3
+        assert "NormNotConverged" in err and "Ritz residual" in err
+
     @pytest.mark.parametrize("command", ["delta0", "positivity"])
     @pytest.mark.parametrize("nu", ["5000", "1e4", "1e6"])
     def test_overflow_at_large_nu_is_exit_3(self, capsys, command, nu):

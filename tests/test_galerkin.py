@@ -27,6 +27,11 @@ from kfpq.symbols import ModelParams
 ALPHAS = (0.0, np.pi / 2)
 
 
+def dense_norm(m):
+    """operator_norm of one dense matrix: a one-block stack, W the identity."""
+    return operator_norm(m[None], scipy.sparse.eye_array(m.shape[0]))
+
+
 def _dense_product_reference(label, params, dim_q, dim_p):
     """The operator as a product of full-size Kronecker lifts."""
     a_q = ladder(dim_q)
@@ -136,14 +141,12 @@ class TestNormAndSemigroup:
     def test_operator_norm_matches_svd(self):
         rng = np.random.RandomState(7)
         m = rng.randn(50, 50) + 1j * rng.randn(50, 50)
-        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2),
-                                                 rel=1e-13)
+        assert dense_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13)
 
     def test_operator_norm_real_rectangular(self):
         rng = np.random.RandomState(3)
         m = rng.randn(40, 25)
-        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2),
-                                                 rel=1e-13)
+        assert dense_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13)
 
     def test_arpack_failure_raises_norm_not_converged(self, monkeypatch):
         def stalled(*args, **kwargs):
@@ -152,7 +155,23 @@ class TestNormAndSemigroup:
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", stalled)
         with pytest.raises(NormNotConverged):
-            operator_norm(np.eye(4))
+            dense_norm(np.eye(4))
+
+    def test_uncertified_ritz_pair_raises(self, monkeypatch):
+        # a pair ARPACK reports as converged but whose vector is off the
+        # top eigenvector leaves a Ritz residual above 1e-12 rho
+        real_eigsh = scipy.sparse.linalg.eigsh
+
+        def perturbed(*args, **kwargs):
+            values, vectors = real_eigsh(*args, **kwargs)
+            vectors = vectors + 1e-10 * np.arange(len(vectors))[:, None]
+            return values, vectors / np.linalg.norm(vectors)
+
+        m = np.diag([3.0, 2.0, 1.0, 0.5])
+        assert dense_norm(m) == pytest.approx(3.0, rel=1e-13)
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", perturbed)
+        with pytest.raises(NormNotConverged, match="Ritz residual"):
+            dense_norm(m)
 
     # ARPACK needs two columns for a real m and three for a complex one
     @pytest.mark.parametrize("rows,cols,is_complex", [
@@ -166,8 +185,7 @@ class TestNormAndSemigroup:
         m = rng.randn(rows, cols)
         if is_complex:
             m = m + 1j * rng.randn(rows, cols)
-        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2),
-                                                 rel=1e-13)
+        assert dense_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13)
 
     @pytest.mark.parametrize("kind", ["rank_one", "repeated_top"])
     def test_operator_norm_degenerate_spectrum(self, kind):
@@ -176,13 +194,31 @@ class TestNormAndSemigroup:
             m = np.outer(rng.randn(20), rng.randn(15))
         else:
             m = np.diag([3.0, 3.0, 1.0, 0.5, 0.2])
-        assert operator_norm(m) == pytest.approx(np.linalg.norm(m, 2),
-                                                 rel=1e-13)
+        assert dense_norm(m) == pytest.approx(np.linalg.norm(m, 2), rel=1e-13)
+
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_stack_of_unequal_blocks_matches_block_diagonal(self, is_complex):
+        # blocks of sizes 3, 7 and 5 zero-padded to width 7; entries of W in
+        # the columns of padded slots meet only the zero rows of the padding
+        rng = np.random.RandomState(17)
+        sizes = (3, 7, 5)
+        blocks = [rng.randn(n, n) + (1j * rng.randn(n, n) if is_complex
+                                     else 0.0) for n in sizes]
+        stack = np.zeros((3, 7, 7), dtype=blocks[0].dtype)
+        for padded, block in zip(stack, blocks):
+            padded[:len(block), :len(block)] = block
+        slots = np.concatenate([7 * i + np.arange(n)
+                                for i, n in enumerate(sizes)])
+        dense_weight = rng.randn(6, 21)
+        reference = np.linalg.norm(dense_weight[:, slots]
+                                   @ scipy.linalg.block_diag(*blocks), 2)
+        norm = operator_norm(stack, scipy.sparse.csr_array(dense_weight))
+        assert norm == pytest.approx(reference, rel=1e-13)
 
     def test_zero_matrix_raises_norm_not_converged(self):
         # the Gram products send the start vector to 0
         with pytest.raises(NormNotConverged):
-            operator_norm(np.zeros((4, 4)))
+            dense_norm(np.zeros((4, 4)))
 
     @pytest.mark.parametrize("nu", [1.0, 4.0])
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -190,7 +226,7 @@ class TestNormAndSemigroup:
     def test_semigroup_is_contraction(self, nu, alpha, t):
         op = build("K", ModelParams(nu, alpha), 20, 20).toarray()
         e = semigroup_matrix(op, t)
-        assert operator_norm(e) <= 1.0 + 1e-12
+        assert dense_norm(e) <= 1.0 + 1e-12
 
     def test_semigroup_group_property(self):
         op = build("K", ModelParams(1.0, 0.0), 20, 20).toarray()
@@ -283,6 +319,8 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_sector_exponential_matches_kept_block_expm(self, alpha):
+        # each padded level block is the level's block of the exponential
+        # of the whole kept sector, and the padding stays zero
         params = ModelParams(2.0, alpha)
         size, levels = galerkin._conserved_levels(params, 12)
         gen = build("K", params, size, size)
@@ -292,10 +330,53 @@ class TestParitySectors:
             kept = gen.toarray()[np.ix_(idx, idx)]
             dense = [gen[np.ix_(states, states)].toarray()
                      for states in blocks]
-            assembled = galerkin._sector_exponentials(idx, blocks, dense, ts)
-            for t, et in zip(ts, assembled):
-                assert np.max(np.abs(et - scipy.linalg.expm(-t * kept))) \
-                    <= 1e-13
+            width = max(len(states) for states in blocks)
+            padded = galerkin._padded_exponentials(dense, ts)
+            for t, stack in zip(ts, padded):
+                assert stack.shape == (len(blocks), width, width)
+                full = scipy.linalg.expm(-t * kept)
+                for states, level in zip(blocks, stack):
+                    pos = np.searchsorted(idx, states)
+                    n = len(states)
+                    assert np.max(np.abs(level[:n, :n]
+                                         - full[np.ix_(pos, pos)])) <= 1e-13
+                    assert not np.any(level[n:]) and not np.any(level[:, n:])
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("dim", [12, 11])
+    def test_sector_weight_skips_padded_slots(self, alpha, dim, monkeypatch):
+        # the weight handed to operator_norm has no entry in a padded
+        # column, and W blockdiag(stack) is the sector block of
+        # W e^{-tK} with its columns permuted into the slots
+        params = ModelParams(2.0, alpha)
+        size, levels = galerkin._conserved_levels(params, dim)
+        gen = build("K", params, size, size).toarray()
+        weight = np.sqrt(params.nu) * build("D_q", params, size, size)
+        calls = []
+        real_norm = galerkin.operator_norm
+
+        def capture(stack, w_block):
+            calls.append((stack, w_block))
+            return real_norm(stack, w_block)
+
+        monkeypatch.setattr(galerkin, "operator_norm", capture)
+        galerkin._weighted_norm_values("derivative_weight", params, (1.0,),
+                                       dim)
+        assert len(calls) == 2
+        for blocks, (stack, w_block) in zip(levels, calls):
+            width = stack.shape[1]
+            if alpha > 0:
+                assert len({len(states) for states in blocks}) > 1
+            slots = np.concatenate([i * width + np.arange(len(states))
+                                    for i, states in enumerate(blocks)])
+            padded = np.setdiff1d(np.arange(len(blocks) * width), slots)
+            assert not w_block[:, padded].count_nonzero()
+            idx = np.concatenate(blocks)
+            rows = np.flatnonzero(weight[:, idx].count_nonzero(axis=1))
+            expected = (weight[:, idx].toarray()[rows]
+                        @ scipy.linalg.expm(-gen[np.ix_(idx, idx)]))
+            got = (w_block @ scipy.linalg.block_diag(*stack))[:, slots]
+            assert np.max(np.abs(got - expected)) <= 1e-13
 
     @pytest.mark.parametrize("quantity", MATRIX_CURVES)
     @pytest.mark.parametrize("alpha", ALPHAS)
@@ -330,7 +411,8 @@ class TestParitySectors:
         assert oracle == pytest.approx(unsplit, rel=1e-12)
         # the split itself, with exact sector-block norms
         monkeypatch.setattr(galerkin, "operator_norm",
-                            lambda m: np.linalg.norm(m, 2))
+                            lambda stack, w_block: np.linalg.norm(
+                                w_block @ scipy.linalg.block_diag(*stack), 2))
         exact = galerkin._weighted_norm_values(quantity, params, ts, dim)
         assert exact == pytest.approx(unsplit, rel=1e-12)
 
