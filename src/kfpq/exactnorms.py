@@ -12,6 +12,11 @@ Three groups of results, all for alpha = 0 (potential -nu q^2 / 2):
 The eigenvalue route is assembled through the unimodularity identity
 (A - s)(A + s) = 1 of the flow product, never by subtracting nearly equal
 exponentials; see ``semigroup_norm``.
+
+``resolvent_bound`` and ``optimality_witness`` import ``scipy.integrate``
+when called, not at load: it pulls in ``scipy.optimize``, ``scipy.special``
+and ``scipy.fft``, and commands that never integrate should not pay their
+start-up time and memory.
 """
 
 from __future__ import annotations
@@ -20,7 +25,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "QuadratureNotConverged",
@@ -148,6 +152,8 @@ def resolvent_bound(nu: float) -> ResolventBound:
     logarithmic scaling.  Raises QuadratureNotConverged if the adaptive
     error estimate exceeds ``_RESOLVENT_TOL``.
     """
+    from scipy import integrate
+
     if nu < 10:
         raise ValueError("resolvent scaling is studied for nu >= 10")
     n1 = np.sqrt(1.0 + 4.0 * nu)
@@ -181,6 +187,8 @@ def optimality_witness(nu: float) -> OptimalityWitness:
     ((1/L) int_0^L sqrt(cosh 4s)/2 ds)^2 of the exact slice norms
     ||O_p phi_s|| = sqrt(cosh 4s)/2.
     """
+    from scipy import integrate
+
     if nu <= np.exp(8.0):
         raise ValueError("witness regime needs log(nu)/4 > 2")
     big_l = np.log(nu) / 4.0

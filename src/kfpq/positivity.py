@@ -159,7 +159,9 @@ def _bracket(t: float, n1sq: float) -> complex:
 
     The two terms agree through order t^2, so for |t n1| < 1/2 the closed
     difference is evaluated as the tail series
-    sum_{k>=2} t^{2k} (n1sq^{k-1} - 1) / (2k)! instead.
+    sum_{k>=2} t^{2k} (n1sq^{k-1} - 1) / (2k)! instead.  Above the switch
+    cosh t - 1 is taken as 2 sinh^2(t/2), which keeps its relative accuracy
+    where t is small and |n1| large.
     """
     if abs(t) * np.sqrt(abs(n1sq)) < 0.5:
         total = 0j
@@ -178,7 +180,7 @@ def _bracket(t: float, n1sq: float) -> complex:
             pw *= n1sq
         return total
     c, s = _flow_factors(t, n1sq)
-    return 2 * s * s - (np.cosh(t) - 1.0)
+    return 2 * s * s - 2.0 * np.sinh(0.5 * t) ** 2
 
 
 def delta0(t: float, params: ModelParams) -> float:

@@ -3,6 +3,10 @@
 import argparse
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -329,3 +333,33 @@ class TestVerifyAll:
         text = path.read_text()
         assert text.startswith("criterion 02 PASS")
         assert text.endswith("passed 1 of 1 criteria\n")
+
+
+# Runs in a fresh interpreter: other test modules import scipy.optimize into
+# the pytest process.
+_IMPORT_GUARD = """
+import contextlib, io, sys
+import kfpq, kfpq.cli
+from kfpq.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["norms"], ["positivity"], ["bargmann", "--t", "1:1:1:lin"],
+                 ["subelliptic", "--dims", "8"]):
+        assert main(argv) == 0, argv
+    early = [m for m in ("scipy.integrate", "scipy.optimize", "scipy.special")
+             if m in sys.modules]
+    assert not early, early
+    assert main(["resolvent", "--nu", "100"]) == 0
+    assert main(["degenerate", "--lambda1", "0", "--t", "1:1:1:lin"]) == 0
+missing = [m for m in ("scipy.integrate", "scipy.optimize")
+           if m not in sys.modules]
+assert not missing, missing
+"""
+
+
+def test_quadrature_and_optimizers_load_on_first_use():
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_GUARD], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

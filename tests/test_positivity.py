@@ -1,12 +1,13 @@
 """Flow-form positivity, the threshold delta0, and the decay envelope."""
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
 
-from kfpq.positivity import (NonFiniteDeterminant, NonRealDelta0, delta0,
-                             hermitian_difference, position_weight_decay_bound,
-                             positivity_report)
+from kfpq.positivity import (NonFiniteDeterminant, NonRealDelta0, _bracket,
+                             delta0, hermitian_difference,
+                             position_weight_decay_bound, positivity_report)
 from kfpq.symbols import ModelParams, hamilton_basis, kappa, kappa0
 
 ALPHAS = (0.0, np.pi / 2)
@@ -144,6 +145,25 @@ def test_threshold_positive_and_increasing_in_t():
 def test_threshold_rejects_nonpositive_time():
     with pytest.raises(ValueError):
         delta0(0.0, ModelParams(nu=1.0))
+
+
+def _bracket_mpmath(t, n1sq):
+    """2 S^2 - (cosh t - 1) at 50 digits, S = sinh(t n1 / 2) / n1."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        n1 = mpmath.sqrt(mpmath.mpc(n1sq))
+        s = mpmath.sinh(t * n1 / 2) / n1
+        return mpmath.re(2 * s * s - (mpmath.cosh(t) - 1))
+
+
+# |t| sqrt|n1sq| on both sides of the series switch at 1/2
+@pytest.mark.parametrize("scaled_t", [0.499, 0.501, 0.52, 0.55, 0.7, 1.0])
+@pytest.mark.parametrize("n1sq", [4.0, 400.0, 4e4, 4e6, -3.0, -300.0])
+def test_bracket_against_mpmath_across_switch(n1sq, scaled_t):
+    t = scaled_t / np.sqrt(abs(n1sq))
+    exact = _bracket_mpmath(t, n1sq)
+    got = _bracket(t, n1sq).real
+    assert float(abs((got - exact) / exact)) < 1e-13
 
 
 # min delta0 / (nu t^3) over 60 log-spaced times in [t0 / 1000, t0],
