@@ -12,6 +12,7 @@ configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -355,6 +356,9 @@ _FLAGS = {
 }
 
 
+# built once per process: no flag has a mutable default or an accumulating
+# action, so one parser serves every call of ``main``
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kfpq",

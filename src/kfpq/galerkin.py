@@ -1,18 +1,20 @@
 """Hermite tensor-product discretization used as the independent oracle.
 
 Everything here is deliberately different from the closed-form modules: the
-generator and the weight operators are assembled as sparse sums of Kronecker
-products of one-variable ladder matrices in the Hermite basis of L^2(R^2)
-(see ``build``), exponentiated on the levels the generator conserves, and
-measured through their largest singular values: one certified ARPACK
-Lanczos run on each parity sector, which applies the exponential one level
-block at a time and never assembles the sector matrix (see
-``operator_norm``), and the top eigenvalue of the Gram matrix of each small
-degenerate fiber, taken in a real gauge (see ``_fiber_matrix_sups``).
-Agreement between these numbers and the closed forms is the main
-cross-check of the package.
-The subelliptic pencil is assembled sparse from the same operators and
-solved densely on each parity of m + n (see ``subelliptic_constant``).
+generator and the weight operators are assembled as sparse Kronecker
+products of one-variable ladder matrices in the Hermite basis of L^2(R^2),
+straight from the nonzeros of the factors (see ``build``), exponentiated on
+the levels the generator conserves, and measured through their largest
+singular values: one certified ARPACK Lanczos run on each parity sector,
+which applies the exponential one level block at a time and never assembles
+the sector matrix (see ``operator_norm``), and the top eigenvalue of the
+Gram matrix of each small degenerate fiber that a Schatten-4 bound leaves
+in the running for the sup, taken in a real gauge (see
+``_fiber_matrix_sups``).  Agreement between these numbers and the closed
+forms is the main cross-check of the package.
+The subelliptic pencil is assembled sparse from the same operators, cut
+into one dense block per parity of m + n in one pass over its stored
+entries, and solved densely on each (see ``subelliptic_constant``).
 
 The generator K conserves a Hermite level: attracting transport
 a_q a_p^* - a_q^* a_p keeps L = m + n, repelling transport
@@ -63,7 +65,6 @@ __all__ = [
     "CURVE_QUANTITIES",
     "ladder",
     "build",
-    "interior_indices",
     "semigroup_matrix",
     "operator_norm",
     "decay_curve",
@@ -118,8 +119,8 @@ _DRIFT_TOL = 0.01    # largest relative drift between the two truncations
 def ladder(dim: int) -> np.ndarray:
     """Annihilation matrix: a[n-1, n] = sqrt(n)."""
     m = np.zeros((dim, dim))
-    for n in range(1, dim):
-        m[n - 1, n] = np.sqrt(n)
+    n = np.arange(1, dim)
+    m[n - 1, n] = np.sqrt(n)
     return m
 
 
@@ -130,19 +131,6 @@ def _ops_1d(dim: int):
     derivative = (a - a.T) / np.sqrt(2.0)
     number = np.diag(np.arange(dim) + 0.5)
     return position, derivative, number
-
-
-def interior_indices(dim_q: int, dim_p: int, margin: int) -> np.ndarray:
-    """Flattened indices whose ladder images stay below truncation.
-
-    Identities involving operators that move at most ``margin`` levels hold
-    exactly on this block; outside it they are truncation artifacts.
-    """
-    keep = []
-    for m in range(dim_q - margin):
-        base = m * dim_p
-        keep.extend(range(base, base + dim_p - margin))
-    return np.asarray(keep, dtype=int)
 
 
 def _kron_terms(label: str, params: ModelParams, dim_q: int, dim_p: int):
@@ -185,21 +173,36 @@ def build(label: str, params: ModelParams, dim_q: int,
     (the diagonal square root of nu (m + 1/2), m the q-level).
 
     Each operator is a short table of (q-factor, p-factor, coefficient)
-    terms on the one-variable ladder matrices, summed as sparse
-    ``coefficient * kron(q_factor, p_factor)``; attracting transport, for
-    one, is ``kron(d_q, p) - kron(q, d_p)``.  The entries are the ones
-    ``np.kron`` would give.  Zero coefficients and cancelling terms leave
-    explicit zeros, which are dropped: the decay curves read the stored
-    pattern of K to check that it couples no two kept levels.
+    terms on the one-variable ladder matrices; attracting transport, for
+    one, is ``kron(d_q, p) - kron(q, d_p)``.  Each term is formed from the
+    nonzeros of its two factors by index arithmetic, the nonzero (i, j) of
+    the q-factor and (k, l) of the p-factor giving the entry
+    (i dim_p + k, j dim_p + l) with value ``coefficient * (q * p)``, and
+    all terms go into one CSR constructor, which sums the entries that
+    share a position.  No position gets more than two, so the sum does not
+    depend on their order, and the entries are the ones ``np.kron`` would
+    give.  Zero coefficients and cancelling terms leave explicit zeros,
+    which are dropped: the decay curves read the stored pattern of K to
+    check that it couples no two kept levels.
     """
     if dim_q < 2 or dim_p < 2:
         raise ValueError("need at least two Hermite levels per variable")
     if label not in OPERATOR_LABELS:
         raise UnknownLabel("no operator labelled %r" % (label,))
-    matrix = sum(coefficient * scipy.sparse.kron(
-                     scipy.sparse.csr_array(q_factor), p_factor, format="csr")
-                 for q_factor, p_factor, coefficient
-                 in _kron_terms(label, params, dim_q, dim_p))
+    rows, cols, values = [], [], []
+    for q_factor, p_factor, coefficient in _kron_terms(label, params,
+                                                       dim_q, dim_p):
+        q_rows, q_cols = np.nonzero(q_factor)
+        p_rows, p_cols = np.nonzero(p_factor)
+        rows.append((q_rows[:, None] * dim_p + p_rows).ravel())
+        cols.append((q_cols[:, None] * dim_p + p_cols).ravel())
+        values.append((coefficient * np.multiply.outer(
+            q_factor[q_rows, q_cols], p_factor[p_rows, p_cols])).ravel())
+    # 32-bit indices, as scipy.sparse itself picks for any dense-factor size
+    matrix = scipy.sparse.csr_array(
+        (np.concatenate(values), (np.concatenate(rows).astype(np.int32),
+                                  np.concatenate(cols).astype(np.int32))),
+        shape=(dim_q * dim_p, dim_q * dim_p))
     matrix.eliminate_zeros()
     return matrix
 
@@ -346,25 +349,34 @@ def _conserved_levels(params: ModelParams, dims: int) -> tuple:
     return size, levels
 
 
-def _level_blocks(coupling: scipy.sparse.coo_array, sizes) -> list:
-    """Dense blocks of K on each kept level, cut from ``coupling``, the COO
-    of K on the kept states listed level after level with ``sizes`` states
-    each.  Raises ParityNotConserved if ``coupling`` stores an entry between
-    two levels.
+def _diagonal_blocks(matrix, groups, coupled: str) -> list:
+    """Dense diagonal blocks of the sparse ``matrix`` on the index
+    ``groups``, each an increasing array of indices: block i holds the
+    entries between the indices of groups[i], in their order.  Entries that
+    touch an index outside every group are dropped.  Raises
+    ParityNotConserved(``coupled``) if ``matrix`` stores an entry between
+    two groups.
 
-    All blocks share one flat buffer; duplicate entries are summed, as
-    ``toarray`` would.
+    One pass over the stored entries scatters them into one flat buffer
+    that all blocks share; duplicate entries are summed in storage order,
+    as ``toarray`` would.
     """
-    sizes = np.asarray(sizes)
-    owner = np.repeat(np.arange(len(sizes)), sizes)
-    level = owner[coupling.row]
-    if np.any(level != owner[coupling.col]):
-        raise ParityNotConserved("K couples two kept levels")
-    starts = np.cumsum(sizes) - sizes
+    owner = np.full(matrix.shape[0], -1)
+    place = np.zeros(matrix.shape[0], dtype=int)
+    for i, states in enumerate(groups):
+        owner[states] = i
+        place[states] = np.arange(len(states))
+    coo = matrix.tocoo()
+    row_group, col_group = owner[coo.row], owner[coo.col]
+    inside = (row_group >= 0) & (col_group >= 0)
+    group = row_group[inside]
+    if np.any(group != col_group[inside]):
+        raise ParityNotConserved(coupled)
+    sizes = np.array([len(states) for states in groups])
     offsets = np.cumsum(sizes * sizes) - sizes * sizes
-    flat = np.zeros(int(np.sum(sizes * sizes)))
-    np.add.at(flat, offsets[level] + (coupling.row - starts[level])
-              * sizes[level] + coupling.col - starts[level], coupling.data)
+    flat = np.bincount(offsets[group] + place[coo.row[inside]] * sizes[group]
+                       + place[coo.col[inside]], weights=coo.data[inside],
+                       minlength=int(np.sum(sizes * sizes)))
     return [flat[o:o + n * n].reshape(n, n) for o, n in zip(offsets, sizes)]
 
 
@@ -394,7 +406,9 @@ def _weighted_norm_values(quantity: str, params: ModelParams,
     On each parity sector the exponential is the zero-padded stack of its
     level exponentials (see ``_padded_exponentials``), and the columns of W
     are moved onto the slots of that stack, the padded slots getting none,
-    so the sector norm is ``operator_norm(stack, W)``.
+    so the sector norm is ``operator_norm(stack, W)``.  The level blocks of
+    K (see ``_diagonal_blocks``) and the sector blocks of W are each cut in
+    one pass over the stored entries of the box assembly.
     """
     root_nu = np.sqrt(params.nu)
     size, levels = _conserved_levels(params, dims)
@@ -416,29 +430,30 @@ def _weighted_norm_values(quantity: str, params: ModelParams,
         shift = params.nu ** (1.0 / 3.0)
     else:
         raise UnknownLabel("no matrix curve for %r" % (quantity,))
-    every = levels[0] + levels[1]
-    kept = np.concatenate(every)
-    dense = _level_blocks(gen[np.ix_(kept, kept)].tocoo(),
-                          [len(states) for states in every])
+    dense = _diagonal_blocks(gen, levels[0] + levels[1],
+                             "K couples two kept levels")
     sectors = (dense[:len(levels[0])], dense[len(levels[0]):])
+    entries = weight.tocoo()
     values = [0.0] * len(ts)
     reached = np.zeros(0, dtype=int)
     for blocks, sector_dense in zip(levels, sectors):
         # kept state -> its slot in the padded (levels, width) stack; the
-        # padded slots get no column of the weight
+        # padded slots, and the states of the other sector, get no column
+        # of the weight
         width = max(len(states) for states in blocks)
-        slots = np.concatenate([i * width + np.arange(len(states))
-                                for i, states in enumerate(blocks)])
-        placement = scipy.sparse.csr_array(
-            (np.ones(len(slots)), (np.concatenate(blocks), slots)),
-            shape=(size * size, len(blocks) * width))
-        w_block = weight @ placement
-        rows = np.flatnonzero(w_block.count_nonzero(axis=1))
+        slot = np.full(size * size, -1)
+        for i, states in enumerate(blocks):
+            slot[states] = i * width + np.arange(len(states))
+        inside = slot[entries.col] >= 0
+        rows = np.unique(entries.row[inside])
         if np.intersect1d(rows, reached).size:
             raise ParityNotConserved("the %s weight couples the two parity "
                                      "sectors" % quantity)
         reached = rows
-        w_block = w_block[rows]
+        w_block = scipy.sparse.csr_array(
+            (entries.data[inside], (np.searchsorted(rows, entries.row[inside]),
+                                    slot[entries.col[inside]])),
+            shape=(len(rows), len(blocks) * width))
         stacks = _padded_exponentials(sector_dense, ts)
         for k, (t, stack) in enumerate(zip(ts, stacks)):
             values[k] = max(values[k],
@@ -479,6 +494,18 @@ def _curve_analytic(quantity: str, params: ModelParams, t: float) -> Optional[fl
     return None
 
 
+def _schatten4(gram: np.ndarray) -> np.ndarray:
+    """Upper bound on the Schatten-4 norm (sum_i sigma_i^4)^{1/4} of each
+    matrix E of a stack, from the stack of its Gram matrices G = E^T E.
+
+    sum_i sigma_i^4 = ||G||_F^2, taken as one contraction of G with itself.
+    A square that underflows loses at most 2^-1075, so the smallest normal
+    number, added to each ||G||_F^2, covers every loss for matrices of fewer
+    than 2^26 rows.
+    """
+    return (np.einsum("kij,kij->k", gram, gram) + np.finfo(float).tiny) ** 0.25
+
+
 def _fiber_matrix_sups(ts: Sequence[float], lambda1: float, dim: int,
                        xi_grid: np.ndarray) -> list:
     """sup over a xi_q grid of |xi_q| ||e^{-t F}||, F the xi_q fiber of the
@@ -494,21 +521,35 @@ def _fiber_matrix_sups(ts: Sequence[float], lambda1: float, dim: int,
     at every t.  The stack of real fibers is built once and exponentiated
     along the t grid by ``_chained_exponentials``, which squares E(t/2)
     where the grid has it.  The largest singular value of each E is the
-    square root of the top eigenvalue of E^T E, from one batched
-    ``eigvalsh`` per t: that eigenvalue carries an absolute error of about
-    eps ||E||^2, so its square root keeps about eps relative accuracy.
+    square root of the top eigenvalue of G = E^T E, from ``eigvalsh``: that
+    eigenvalue carries an absolute error of about eps ||E||^2, so its square
+    root keeps about eps relative accuracy.
+
+    Only the fibers that can hold the sup are eigensolved.  sigma_1^4 <=
+    sum_i sigma_i^4 = ||G||_F^2, so |xi| ||G||_F^{1/2} (1 + 1e-10) bounds
+    the value of each fiber from above (see ``_schatten4``); the margin
+    covers the rounding of the bound and of ``eigvalsh``.  The fiber with
+    the largest bound is solved first, and then every fiber whose bound is
+    at least its value, in one batched ``eigvalsh``: every other fiber
+    is below that value, so the sup is the one an exhaustive solve gives.
     """
     _, derivative, _ = _ops_1d(dim)
     base = np.diag(np.arange(dim, dtype=float)) + np.eye(dim)
     xis = xi_grid[xi_grid != 0.0]
-    b = np.hypot(xis, lambda1)
-    fibers = base - b[:, None, None] * derivative
+    if not xis.size:
+        return [0.0] * len(ts)
+    fibers = base - np.hypot(xis, lambda1)[:, None, None] * derivative
     exps = _chained_exponentials(fibers, ts)
+    scale = np.abs(xis)
     sups = []
     for t in ts:
         gram = np.matmul(exps[t].transpose(0, 2, 1), exps[t])
-        top = np.linalg.eigvalsh(gram)[:, -1]
-        sups.append(float(np.max(np.abs(xis) * np.sqrt(top), initial=0.0)))
+        bounds = scale * _schatten4(gram) * (1.0 + 1e-10)
+        first = np.argmax(bounds)
+        floor = scale[first] * np.sqrt(np.linalg.eigvalsh(gram[first])[-1])
+        keep = bounds >= floor
+        top = np.linalg.eigvalsh(gram[keep])[:, -1]
+        sups.append(float(np.max(scale[keep] * np.sqrt(top))))
     return sups
 
 
@@ -607,9 +648,9 @@ def _parity_weight(square: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _pencil_forms(params: ModelParams, dims: int):
-    """The two quadratic forms of the subelliptic pencil, sparse, on the
-    dims x dims interior of a (dims+2)-level assembly, with the parity of
-    m + n of each interior state: (left, right, parity)."""
+    """The two quadratic forms of the subelliptic pencil, sparse on a
+    (dims+2)-level assembly, with the states of its dims x dims interior
+    split by the parity of m + n: (left, right, (even states, odd states))."""
     big = dims + 2
     qq, dq1, _ = _ops_1d(big)
     gen, osc_p, x = (build(label, params, big, big)
@@ -624,29 +665,28 @@ def _pencil_forms(params: ModelParams, dims: int):
     right = (osc_p.T @ osc_p + transport.T @ transport
              + scipy.sparse.kron(scipy.sparse.csr_array(weights),
                                  scipy.sparse.eye_array(big)))
-    idx = interior_indices(big, big, 2)
-    left, right = (form[np.ix_(idx, idx)] for form in (left, right))
-    m, n = np.divmod(idx, big)
-    return left, right, (m + n) % 2
+    m, n = np.divmod(np.arange(big * big), big)
+    interior = (m < dims) & (n < dims)
+    sectors = tuple(np.flatnonzero(interior & ((m + n) % 2 == parity))
+                    for parity in (0, 1))
+    return left, right, sectors
 
 
-def _sector_pencil_minimum(left, right, parity: np.ndarray) -> float:
+def _sector_pencil_minimum(left, right, sectors) -> float:
     """Smallest generalized eigenvalue of the symmetric pencil (left, right)
-    whose stored patterns keep the sectors ``parity`` apart.
+    restricted to the states of ``sectors``, which the pencil keeps apart.
 
-    Raises ParityNotConserved if either form stores an entry between two
-    sectors, and IndefinitePencil if the factorization of a ``right`` block
-    inside the generalized ``eigh`` finds it not positive definite.
+    Each sparse form is cut into one dense block per sector in one pass
+    over its stored entries; entries that touch a state outside every
+    sector are dropped.  Raises ParityNotConserved if either form stores an
+    entry between two sectors, and IndefinitePencil if the factorization of
+    a ``right`` block inside the generalized ``eigh`` finds it not positive
+    definite.
     """
-    for form in (left, right):
-        coo = form.tocoo()
-        if np.any(parity[coo.row] != parity[coo.col]):
-            raise ParityNotConserved("the subelliptic pencil couples the "
-                                     "two parity sectors of m + n")
+    coupled = "the subelliptic pencil couples the two parity sectors of m + n"
     lowest = []
-    for sector in np.unique(parity):
-        block = np.ix_(parity == sector, parity == sector)
-        a, b = (form[block].toarray() for form in (left, right))
+    for a, b in zip(*(_diagonal_blocks(form, sectors, coupled)
+                      for form in (left, right))):
         try:
             eigenvalues = scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T),
                                             eigvals_only=True,
@@ -672,7 +712,8 @@ def subelliptic_constant(params: ModelParams, dims: int = 16) -> float:
     factors.  The fractional powers are taken on eigenvalues of q^2 and
     -d_q^2, each diagonalized on even and odd q-levels separately.  Every
     term conserves the parity of m + n, so the pencil is solved as two
-    half-size dense pencils, one per parity, and the smaller lowest
+    half-size dense pencils, one per parity, each cut from the sparse forms
+    in one pass over their stored entries, and the smaller lowest
     eigenvalue is returned.  ParityNotConserved is raised if a form stores
     an entry between the two sectors, IndefinitePencil if the right-hand
     Gram is not positive definite.  The assembly margin keeps ladder

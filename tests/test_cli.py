@@ -307,6 +307,23 @@ class TestDeterminism:
         assert first == second
         assert first
 
+    def test_main_calls_share_one_parser(self, capsys):
+        # main builds the parser once per process; a call of another
+        # command in between leaves nothing behind in it
+        argv = ["norms", "--nu", "1", "--t", "0.5:2:3:log"]
+        parser = _build_parser()
+        before = _build_parser.cache_info()
+        _, first, _ = run(capsys, argv)
+        run(capsys, ["subelliptic", "--nu", "1", "--dims", "8",
+                     "--format", "json"])
+        _, second, _ = run(capsys, argv)
+        after = _build_parser.cache_info()
+        assert after.misses == before.misses
+        assert after.hits == before.hits + 3
+        assert _build_parser() is parser
+        assert first == second
+        assert first
+
     def test_json_runs_are_byte_identical(self, capsys):
         argv = ["delta0", "--nu", "1", "--alpha", "pi2",
                 "--t", "0.1:1:4:log", "--format", "json"]

@@ -15,7 +15,6 @@ from kfpq.galerkin import (
     UnknownLabel,
     build,
     decay_curve,
-    interior_indices,
     ladder,
     operator_norm,
     semigroup_matrix,
@@ -30,6 +29,22 @@ ALPHAS = (0.0, np.pi / 2)
 def dense_norm(m):
     """operator_norm of one dense matrix: a one-block stack, W the identity."""
     return operator_norm(m[None], scipy.sparse.eye_array(m.shape[0]))
+
+
+def _exhaustive_fiber_sups(ts, lambda1, dim, xi_grid):
+    """The fiber sups of ``galerkin._fiber_matrix_sups`` with the top
+    eigenvalue of every fiber's Gram matrix, from one batched eigvalsh."""
+    _, derivative, _ = galerkin._ops_1d(dim)
+    base = np.diag(np.arange(dim, dtype=float)) + np.eye(dim)
+    xis = xi_grid[xi_grid != 0.0]
+    fibers = base - np.hypot(xis, lambda1)[:, None, None] * derivative
+    exps = galerkin._chained_exponentials(fibers, ts)
+    sups = []
+    for t in ts:
+        gram = np.matmul(exps[t].transpose(0, 2, 1), exps[t])
+        top = np.linalg.eigvalsh(gram)[:, -1]
+        sups.append(float(np.max(np.abs(xis) * np.sqrt(top), initial=0.0)))
+    return sups
 
 
 def _dense_product_reference(label, params, dim_q, dim_p):
@@ -68,7 +83,32 @@ def _dense_product_reference(label, params, dim_q, dim_p):
     }[label]
 
 
+def _kron_sum_reference(label, params, dim_q, dim_p):
+    """The operator as a sum of scipy.sparse Kronecker products of its
+    one-variable factors, with explicit zeros dropped."""
+    matrix = sum(coefficient * scipy.sparse.kron(
+                     scipy.sparse.csr_array(q_factor), p_factor, format="csr")
+                 for q_factor, p_factor, coefficient
+                 in galerkin._kron_terms(label, params, dim_q, dim_p))
+    matrix.eliminate_zeros()
+    return matrix
+
+
 class TestAssembly:
+    @pytest.mark.parametrize("label", OPERATOR_LABELS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    @pytest.mark.parametrize("nu", [0.01, 1.0, 100.0])
+    @pytest.mark.parametrize("dim_q,dim_p", [(2, 2), (9, 14), (49, 49)])
+    def test_index_arithmetic_matches_sparse_kron_sum(self, label, alpha, nu,
+                                                      dim_q, dim_p):
+        params = ModelParams(nu, alpha, 0.6)
+        got = build(label, params, dim_q, dim_p)
+        want = _kron_sum_reference(label, params, dim_q, dim_p)
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
+        assert np.all(got.data != 0.0)
+
     @pytest.mark.parametrize("label", OPERATOR_LABELS)
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("dim_q,dim_p", [(9, 9), (7, 11)])
@@ -296,26 +336,47 @@ class TestParitySectors:
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("dims", [12, 11])
-    def test_level_blocks_from_coupling_match_sliced_blocks(self, alpha,
-                                                            dims):
+    def test_level_blocks_match_sliced_blocks(self, alpha, dims):
         params = ModelParams(2.7, alpha)
         size, levels = galerkin._conserved_levels(params, dims)
         gen = build("K", params, size, size)
         every = levels[0] + levels[1]
-        kept = np.concatenate(every)
-        coupling = gen[np.ix_(kept, kept)].tocoo()
-        cut = galerkin._level_blocks(coupling, [len(s) for s in every])
+        cut = galerkin._diagonal_blocks(gen, every, "coupled")
         assert len(cut) == len(every)
         for states, block in zip(every, cut):
             assert np.array_equal(block, gen[np.ix_(states, states)].toarray())
 
-    def test_level_blocks_sum_duplicate_entries(self):
-        # two levels of sizes 2 and 1; (0, 1) is stored twice
+    def test_diagonal_blocks_sum_duplicate_entries(self):
+        # two groups of sizes 2 and 1; (0, 1) is stored twice
         coupling = scipy.sparse.coo_array(
             ([1.0, 2.0, 3.0], ([0, 0, 2], [1, 1, 2])), shape=(3, 3))
-        first, second = galerkin._level_blocks(coupling, [2, 1])
+        first, second = galerkin._diagonal_blocks(
+            coupling, [np.array([0, 1]), np.array([2])], "coupled")
         assert np.array_equal(first, [[0.0, 3.0], [0.0, 0.0]])
         assert np.array_equal(second, [[3.0]])
+
+    def test_diagonal_blocks_drop_states_outside_every_group(self):
+        # groups {3, 1} in increasing order {1, 3} and {0}; state 2 is in
+        # no group, so its row and column are dropped, even across groups
+        full = np.arange(1.0, 17.0).reshape(4, 4)
+        full[[0, 0, 1, 3], [1, 3, 0, 0]] = 0.0
+        first, second = galerkin._diagonal_blocks(
+            scipy.sparse.csr_array(full), [np.array([1, 3]), np.array([0])],
+            "coupled")
+        assert np.array_equal(first, full[np.ix_([1, 3], [1, 3])])
+        assert np.array_equal(second, [[1.0]])
+
+    def test_diagonal_blocks_entry_between_groups_raises(self):
+        coupling = scipy.sparse.csr_array(np.array([[1.0, 0.0, 0.5],
+                                                    [0.0, 2.0, 0.0],
+                                                    [0.0, 0.0, 3.0]]))
+        with pytest.raises(ParityNotConserved, match="groups meet"):
+            galerkin._diagonal_blocks(
+                coupling, [np.array([0, 1]), np.array([2])], "groups meet")
+        # the same entry is dropped when its column is in no group
+        first, = galerkin._diagonal_blocks(coupling, [np.array([0, 1])],
+                                           "groups meet")
+        assert np.array_equal(first, np.diag([1.0, 2.0]))
 
     @pytest.mark.parametrize("alpha", ALPHAS)
     def test_sector_exponential_matches_kept_block_expm(self, alpha):
@@ -513,6 +574,45 @@ class TestDecayCurves:
         assert chained == pytest.approx(direct, rel=1e-14)
 
     @pytest.mark.parametrize("dim", [20, 28])
+    @pytest.mark.parametrize("lambda1", [0.0, 1.0, 10.0])
+    # (0.5, 1, 2) halves; (0.3, 0.7) does not; at t = 9 to 13 the top
+    # fibers are rank one to rounding, so their bound sits within an ulp of
+    # their value; at t = 32 and lambda1 = 10 the squares of the Gram
+    # entries underflow, and at t = 1000 the whole stack is zero
+    @pytest.mark.parametrize("ts", [(0.5, 1.0, 2.0), (0.3, 0.7),
+                                    (9.0, 10.0, 12.5, 13.0), (32.0,),
+                                    (1000.0,)])
+    def test_pruned_sup_equals_exhaustive_sup(self, dim, lambda1, ts):
+        xi_grid = np.linspace(0.0, 12.0, 121)
+        assert galerkin._fiber_matrix_sups(ts, lambda1, dim, xi_grid) == \
+            _exhaustive_fiber_sups(ts, lambda1, dim, xi_grid)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-160])
+    def test_schatten4_bounds_top_singular_value(self, scale):
+        rng = np.random.RandomState(8)
+        # non-normal stacks: random, upper triangular with a large
+        # off-diagonal, and rank one, where the bound is tight; scaled by
+        # 1e-160 the squares of the Gram entries underflow
+        n = 12
+        stacks = [rng.standard_normal((40, n, n)),
+                  np.triu(rng.standard_normal((40, n, n)))
+                  + 30.0 * np.eye(n, k=3),
+                  np.einsum("ki,kj->kij", rng.standard_normal((40, n)),
+                            rng.standard_normal((40, n)))]
+        for e in stacks:
+            e = scale * e
+            gram = np.matmul(e.transpose(0, 2, 1), e)
+            sigma = np.linalg.svd(e, compute_uv=False)[:, 0]
+            top = np.sqrt(np.linalg.eigvalsh(gram)[:, -1])
+            bound = galerkin._schatten4(gram) * (1.0 + 1e-10)
+            assert np.all(bound >= sigma)
+            assert np.all(bound >= top)
+            if scale == 1.0:
+                # and it is a Schatten-4 norm, not a looser one
+                assert np.all(galerkin._schatten4(gram) <= np.sqrt(
+                    np.einsum("kii->k", gram)) * (1.0 + 1e-14))
+
+    @pytest.mark.parametrize("dim", [20, 28])
     def test_fiber_gauge_is_exact(self, dim):
         # D = diag(i^n) takes i x to the real skew matrix -d, entry by entry
         position, derivative, _ = galerkin._ops_1d(dim)
@@ -633,6 +733,19 @@ FROZEN_PENCIL = {
 }
 
 
+def interior_indices(dim_q, dim_p, margin):
+    """Flattened indices whose ladder images stay below truncation.
+
+    Identities involving operators that move at most ``margin`` levels hold
+    exactly on this block; outside it they are truncation artifacts.
+    """
+    keep = []
+    for m in range(dim_q - margin):
+        base = m * dim_p
+        keep.extend(range(base, base + dim_p - margin))
+    return np.asarray(keep, dtype=int)
+
+
 def _dense_pencil_reference(params, dims):
     """The pencil on the whole dims x dims interior, from dense operators at
     dims + 2 and fractional weights on the eigenvalues of q and -d_q^2."""
@@ -669,36 +782,55 @@ class TestSubellipticConstant:
         c = subelliptic_constant(params, dims=dims)
         assert c == pytest.approx(_dense_pencil_reference(params, dims),
                                   rel=1e-12)
-        # the sparse forms store no entry between the two parities of m + n
-        left, right, parity = galerkin._pencil_forms(params, dims)
-        assert sorted(np.unique(parity)) == [0, 1]
+        # the sectors split the interior by the parity of m + n, and the
+        # sparse forms store no entry between the two parities
+        left, right, sectors = galerkin._pencil_forms(params, dims)
+        big = dims + 2
+        assert np.array_equal(np.sort(np.concatenate(sectors)),
+                              interior_indices(big, big, 2))
+        for parity, states in enumerate(sectors):
+            assert np.all(np.sum(np.divmod(states, big), axis=0) % 2
+                          == parity)
         for form in (left, right):
             coo = form.tocoo()
-            assert np.array_equal(parity[coo.row], parity[coo.col])
+            assert np.array_equal((coo.row // big + coo.row % big) % 2,
+                                  (coo.col // big + coo.col % big) % 2)
 
     def test_indefinite_right_hand_gram_raises(self):
-        parity = np.array([0, 1, 0, 1])
+        sectors = (np.array([0, 2]), np.array([1, 3]))
         left = scipy.sparse.csr_array(np.eye(4))
         right = scipy.sparse.csr_array(np.diag([1.0, 2.0, -1.0, 3.0]))
         with pytest.raises(galerkin.IndefinitePencil):
-            galerkin._sector_pencil_minimum(left, right, parity)
+            galerkin._sector_pencil_minimum(left, right, sectors)
 
     @pytest.mark.parametrize("side", ["left", "right"])
     def test_cross_sector_entry_raises(self, side):
-        parity = np.array([0, 1, 0, 1])
+        sectors = (np.array([0, 2]), np.array([1, 3]))
         forms = {"left": np.eye(4), "right": np.diag([1.0, 2.0, 3.0, 4.0])}
         # one stored entry between an even and an odd state
         forms[side][0, 1] = 0.25
         with pytest.raises(ParityNotConserved):
             galerkin._sector_pencil_minimum(
                 scipy.sparse.csr_array(forms["left"]),
-                scipy.sparse.csr_array(forms["right"]), parity)
+                scipy.sparse.csr_array(forms["right"]), sectors)
+
+    def test_states_outside_the_sectors_are_dropped(self):
+        # state 4 is outside the interior: its entries, one of them
+        # between the two sectors and one a negative pivot of the right
+        # form, take no part in the pencil
+        sectors = (np.array([0, 2]), np.array([1, 3]))
+        left = np.diag([3.0, 1.0, 4.0, 2.0, 0.5])
+        right = np.diag([1.0, 1.0, 1.0, 1.0, -1.0])
+        left[4, 1] = left[1, 4] = right[0, 4] = 0.75
+        assert galerkin._sector_pencil_minimum(
+            scipy.sparse.csr_array(left), scipy.sparse.csr_array(right),
+            sectors) == 1.0
 
     def test_sector_minimum_is_the_lower_sector(self):
-        parity = np.array([0, 1, 0, 1])
+        sectors = (np.array([0, 2]), np.array([1, 3]))
         left = scipy.sparse.csr_array(np.diag([3.0, 1.0, 4.0, 2.0]))
         right = scipy.sparse.csr_array(np.eye(4))
-        assert galerkin._sector_pencil_minimum(left, right, parity) == 1.0
+        assert galerkin._sector_pencil_minimum(left, right, sectors) == 1.0
 
     @pytest.mark.parametrize("nu,alpha,dims", sorted(FROZEN_PENCIL))
     def test_frozen_values(self, nu, alpha, dims):
