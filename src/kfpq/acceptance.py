@@ -446,7 +446,7 @@ def criterion_6():
     return passed, details
 
 
-@_criterion(7, "optimality witness", 15.0)
+@_criterion(7, "optimality witness", 10.0)
 def criterion_7():
     """Optimality witness: quadrature identities, scaling, grid evaluation."""
     worst_quad = 0.0

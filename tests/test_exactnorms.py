@@ -1,11 +1,13 @@
 """Exact repelling-side norms, the resolvent integral, and the witness."""
 
+import mpmath
 import numpy as np
 import pytest
 
 from kfpq.acceptance import sweep_norms
-from kfpq.exactnorms import (_STRIP_ROWS, _TILE_COLS, GridUnderResolved,
-                             WitnessGrid, _witness_field, _witness_on_grid,
+from kfpq.exactnorms import (_LOG_SWITCH, _STRIP_ROWS, _TILE_COLS,
+                             GridUnderResolved, WitnessGrid, _support_window,
+                             _witness_field, _witness_on_grid,
                              boosted_state_norm_quadrature,
                              optimality_witness, oscillator_norm_closed,
                              oscillator_norm_quadrature, overlap_closed,
@@ -61,6 +63,40 @@ class TestSemigroupNorm:
         hi = semigroup_norm(t_star * (1 + 1e-9), nu)
         # the two branches agree up to the genuine derivative scale
         assert abs(hi.norm / lo.norm - 1.0) < 1e-6
+
+    @staticmethod
+    def _norm_mpmath(t, nu):
+        """exp(-Argsh S(t)), S = sinh(t n1 / 2) / n1, at 50 digits."""
+        with mpmath.workdps(50):
+            n1 = mpmath.sqrt(1 + 4 * mpmath.mpf(nu))
+            big_s = mpmath.sinh(mpmath.mpf(t) * n1 / 2) / n1
+            return float(mpmath.exp(-mpmath.asinh(big_s)))
+
+    @pytest.mark.parametrize("nu", [0.5, 4.0, 1e4, 1e8])
+    def test_log_switch_against_mpmath(self, nu):
+        # theta = t n1 / 2 from 149 to 151: both sides of the switch to the
+        # logarithmic branch, each held to a few rounding steps of theta
+        n1 = np.sqrt(1.0 + 4.0 * nu)
+        thetas = np.concatenate([np.linspace(149.0, 151.0, 21),
+                                 _LOG_SWITCH * (1.0 + np.array(
+                                     [-1e-6, -1e-12, 1e-12, 1e-6]))])
+        for theta in thetas:
+            t = float(2.0 * theta / n1)
+            rel = semigroup_norm(t, nu).norm / self._norm_mpmath(t, nu) - 1.0
+            assert abs(rel) <= 1e-13
+
+    @pytest.mark.parametrize("nu", [0.5, 4.0, 1e4, 1e8])
+    def test_log_switch_is_continuous(self, nu):
+        # the last double t on the direct branch and the first past it
+        n1 = np.sqrt(1.0 + 4.0 * nu)
+        t_hi = 2.0 * _LOG_SWITCH / n1
+        while 0.5 * t_hi * n1 <= _LOG_SWITCH:
+            t_hi = np.nextafter(t_hi, np.inf)
+        t_lo = np.nextafter(t_hi, 0.0)
+        assert 0.5 * t_lo * n1 <= _LOG_SWITCH
+        step = semigroup_norm(t_hi, nu).norm / semigroup_norm(t_lo, nu).norm
+        true_step = self._norm_mpmath(t_hi, nu) / self._norm_mpmath(t_lo, nu)
+        assert abs(step - true_step) <= 1e-13
 
     @pytest.mark.parametrize("t", [2.54, 3.84, 5.80])
     def test_eigenvalue_route_past_the_double_range(self, t):
@@ -297,33 +333,94 @@ class TestWitnessNumeric:
     def test_separable_field_matches_per_node_sum(self, n):
         nu = float(np.exp(9.0))
         grid = WitnessGrid(n=n, s_nodes=24)
-        xs, rows = _witness_field(nu, n, grid)
+        xs, rows, bound = _witness_field(nu, n, grid)
         xs_ref, u_ref = per_node_witness_field(nu, n, grid)
         assert np.array_equal(xs, xs_ref)
         scale = np.max(np.abs(u_ref))
         # the whole grid, then strips at both row parities, one row, and one
-        # reaching the last column tile
+        # reaching the last column tile, over all columns and over windows
+        # that start at both column parities inside a tile
         for i0, i1 in ((0, n), (2, 70), (37, 101), (74, 75), (n - 9, n)):
-            strip = rows(i0, i1)
-            assert strip.shape == (i1 - i0, n)
-            assert np.max(np.abs(strip - u_ref[i0:i1])) <= 1e-13 * scale
-        got = _witness_on_grid(nu, xs, rows)
-        ref = _witness_on_grid(nu, xs_ref, lambda i0, i1: u_ref[i0:i1])
+            for j0, j1 in ((0, n), (3, n - 5), (40, 41), (n - 140, n - 7)):
+                strip = rows(i0, i1, j0, j1)
+                assert strip.shape == (i1 - i0, j1 - j0)
+                assert (np.max(np.abs(strip - u_ref[i0:i1, j0:j1]))
+                        <= 1e-13 * scale)
+        got = _witness_on_grid(nu, xs, rows, bound)
+        ref = _witness_on_grid(nu, xs_ref,
+                               lambda i0, i1, j0, j1: u_ref[i0:i1, j0:j1],
+                               bound)
         for g, r in zip(got, ref):
             assert abs(g / r - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("log_nu", [9.0, 12.0, 16.0])
     @pytest.mark.parametrize("n,s_nodes", [(150, 24), (151, 24), (1201, 64)])
-    def test_streamed_grid_matches_dense_reference(self, n, s_nodes):
+    def test_streamed_grid_matches_dense_reference(self, n, s_nodes, log_nu):
         # none of these sizes is a multiple of the strip height or the tile
         # width, and the strip count of the half grid leaves a partial strip
         assert n % _STRIP_ROWS and n % _TILE_COLS
         assert (n // 2 - 4) % _STRIP_ROWS
-        nu = float(np.exp(9.0))
+        nu = float(np.exp(log_nu))
         grid = WitnessGrid(n=n, s_nodes=s_nodes)
         got = _witness_on_grid(nu, *_witness_field(nu, n, grid))
         ref = _dense_witness_reference(nu, n, grid)
         for g, r in zip(got, ref):
             assert abs(g / r - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("log_nu", [8.5, 9.0, 12.0, 16.0])
+    @pytest.mark.parametrize("n", [150, 151, 1201])
+    def test_support_windows_skip_only_negligible_field(self, n, log_nu):
+        nu = float(np.exp(log_nu))
+        _, rows, bound = _witness_field(nu, n, WitnessGrid(n=n))
+        half = n // 2
+        u0 = rows(half, half + 1, n - 1 - half, n - half)[0, 0]
+        floor = np.finfo(float).eps ** 2 * u0
+        # the strips of the symmetric half, as _witness_on_grid walks them,
+        # each with its two-row halo
+        strips = [(i0, min(i0 + _STRIP_ROWS, half))
+                  for i0 in range(4, half, _STRIP_ROWS)]
+        strips += [(half, half + 1)] if n % 2 else []
+        for i0, i1 in strips:
+            col_bound = bound(i0 - 2, i1 + 2)
+            u = rows(i0 - 2, i1 + 2, 0, n)
+            # up to the rounding of a sum of s_nodes positive products
+            assert np.all(u <= col_bound * (1.0 + 1e-13))
+            assert np.max(u) <= u0 * (1.0 + 1e-13)
+            c0, c1 = _support_window(col_bound, floor)
+            assert np.all(u[:, :c0] < floor) and np.all(u[:, c1:] < floor)
+            # a summand reads four field columns either side of its own;
+            # every one that reads a column at or above floor is summed
+            reads = np.convolve(col_bound >= floor, np.ones(9), "same") > 0
+            summed = np.zeros(n, dtype=bool)
+            summed[c0 + 4:c1 - 4] = True
+            assert np.all(summed[4:-4] | ~reads[4:-4])
+
+    @pytest.mark.parametrize("log_nu", [8.5, 9.0, 12.0, 16.0])
+    @pytest.mark.parametrize("n", [150, 151, 1201])
+    def test_trimmed_sums_match_full_width(self, n, log_nu):
+        nu = float(np.exp(log_nu))
+        xs, rows, bound = _witness_field(nu, n, WitnessGrid(n=n))
+        got = _witness_on_grid(nu, xs, rows, bound)
+        # an infinite bound keeps every column of every strip
+        full = _witness_on_grid(nu, xs, rows,
+                                lambda i0, i1: np.full(n, np.inf))
+        for g, r in zip(got, full):
+            assert abs(g / r - 1.0) <= 1e-14
+
+    def test_strip_below_the_floor_adds_nothing(self):
+        # on a grid 16 times the witness scale wide, the first strip lies
+        # wholly below eps^2 of the peak and fills no column
+        nu, n = float(np.exp(9.0)), 601
+        xs, rows, bound = _witness_field(
+            nu, n, WitnessGrid(n=n, extent_factor=16.0))
+        u0 = rows(n // 2, n // 2 + 1, n // 2, n // 2 + 1)[0, 0]
+        floor = np.finfo(float).eps ** 2 * u0
+        assert _support_window(bound(2, 4 + _STRIP_ROWS + 2), floor) == (0, 0)
+        got = _witness_on_grid(nu, xs, rows, bound)
+        full = _witness_on_grid(nu, xs, rows,
+                                lambda i0, i1: np.full(n, np.inf))
+        for g, r in zip(got, full):
+            assert abs(g / r - 1.0) <= 1e-14
 
     def test_exact_moments_reproduce_closed_slice_norms(self):
         # one node: u = phi_{L/2}, ||O_p phi_s||^2 = cosh(4s)/4 and
