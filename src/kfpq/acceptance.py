@@ -33,7 +33,8 @@ from .exactnorms import (boosted_state_norm_quadrature, optimality_witness,
                          overlap_closed, overlap_quadrature, resolvent_bound,
                          semigroup_norm, witness_rayleigh_numeric)
 from .galerkin import decay_curve, subelliptic_constant
-from .positivity import NonRealDelta0, delta0, positivity_report
+from .positivity import (NonRealDelta0, _checked_determinant,
+                         _form_difference, _report, delta0, positivity_report)
 from .symbols import (ModelParams, generator_hessian, hamilton_basis,
                       hamilton_map, kappa, kappa0, rotated_oscillator_hessian)
 
@@ -109,8 +110,11 @@ def _delta0_root(t: float, params: ModelParams) -> float:
     """Root of the flow-form determinant, bracketed around the closed form."""
     import scipy.optimize
 
+    difference = _form_difference(t, params, 1)
+
     def det_real(d):
-        return positivity_report(t, float(d), params, 1).det_value.real
+        d = float(d)
+        return _checked_determinant(difference(d), t, d)[0].real
 
     d0 = delta0(t, params)
     lo, hi = 0.5 * d0, 1.5 * d0
@@ -157,9 +161,9 @@ def sweep_positivity(nus, alphas, ts):
             for sign in (1, -1):
                 for t in ts:
                     d0 = delta0(t, params)
-                    det_res = positivity_report(t, d0, params,
-                                                sign).det_residual
-                    inner = positivity_report(t, 0.5 * d0, params, sign)
+                    difference = _form_difference(t, params, sign)
+                    det_res = _report(t, d0, difference(d0)).det_residual
+                    inner = _report(t, 0.5 * d0, difference(0.5 * d0))
                     rows.append([nu, alpha, sign, t, det_res, 0.0,
                                  inner.min_eigenvalue, det_res,
                                  det_res <= 1e-8 and bool(inner.is_positive)])

@@ -50,7 +50,7 @@ def _sqrt_cos_sinc(nv: complex):
     return np.cos(r), np.sin(r) / r
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Biquaternion:
     """Quaternion a + b*i + c*j + d*k with complex coefficients."""
 
@@ -60,12 +60,19 @@ class Biquaternion:
     d: complex = 0j
 
     def __post_init__(self):
-        for name in ("a", "b", "c", "d"):
-            v = complex(getattr(self, name))
-            if not cmath.isfinite(v):
-                raise NonFiniteBiquaternion("non-finite coefficient %s = %r"
-                                            % (name, v))
-            object.__setattr__(self, name, v)
+        a, b, c, d = (complex(self.a), complex(self.b), complex(self.c),
+                      complex(self.d))
+        isfinite = cmath.isfinite
+        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+            name, v = next((name, v) for name, v in zip("abcd", (a, b, c, d))
+                           if not isfinite(v))
+            raise NonFiniteBiquaternion("non-finite coefficient %s = %r"
+                                        % (name, v))
+        setattr = object.__setattr__
+        setattr(self, "a", a)
+        setattr(self, "b", b)
+        setattr(self, "c", c)
+        setattr(self, "d", d)
 
     # ring structure ----------------------------------------------------
 

@@ -21,6 +21,7 @@ start-up time and memory.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -245,6 +246,19 @@ def _axis_scale(fax) -> float:
     return 64.0
 
 
+@functools.cache
+def _gauss_hermite_rule():
+    """Nodes x and log weights log(w) + x^2 of the ``_GH_NODES`` point rule.
+
+    Built on first use, not at load, and shared read-only after that.
+    """
+    x, w = np.polynomial.hermite.hermgauss(_GH_NODES)
+    logw = np.log(w) + x * x
+    x.flags.writeable = False
+    logw.flags.writeable = False
+    return x, logw
+
+
 def _gauss_hermite_2d(f) -> float:
     """Tensor Gauss-Hermite integral of f over the plane, ``_GH_NODES`` a side.
 
@@ -252,8 +266,7 @@ def _gauss_hermite_2d(f) -> float:
     diagonals) and each axis is scaled by the decay-probed length of f.
     Weights are applied in log form so strongly scaled axes do not underflow.
     """
-    x, w = np.polynomial.hermite.hermgauss(_GH_NODES)
-    logw = np.log(w) + x * x
+    x, logw = _gauss_hermite_rule()
     r = 1.0 / np.sqrt(2.0)
     s1 = _axis_scale(lambda u: float(f(np.array([r * u]), np.array([r * u]))[0]))
     s2 = _axis_scale(lambda u: float(f(np.array([r * u]), np.array([-r * u]))[0]))

@@ -14,17 +14,19 @@ units I, J, K compress to anti-Hermitian 2x2 matrices that square to -1,
 so the determinant of the difference is its norm form
 a^2 + b^2 + c^2 + d^2 and the smallest eigenvalue of its Hermitian part is
 Re a - |(Im b, Im c, Im d)|; ``positivity_report`` reads both off the
-coefficients.  The determinant vanishes at an explicit threshold
-delta0(t) > 0, and positivity holds for 0 <= delta < delta0(t).  For small
-t the threshold behaves like nu t^3 / 12, which is what makes the weight
-useful: ``delta0`` evaluates the closed logarithm with a series-protected
-bracket so the cubic regime survives in floating point, and
-``position_weight_decay_bound`` turns the threshold into the decay
-envelope of the weighted semigroup.
+coefficients.  The evolved side is formed once per (t, sign), so a sweep
+or a root-find in delta pays only for the weight side.  The determinant
+vanishes at an explicit threshold delta0(t) > 0, and positivity holds for
+0 <= delta < delta0(t).  For small t the threshold behaves like
+nu t^3 / 12, which is what makes the weight useful: ``delta0`` evaluates
+the closed logarithm with a series-protected bracket so the cubic regime
+survives in floating point, and ``position_weight_decay_bound`` turns the
+threshold into the decay envelope of the weighted semigroup.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -132,22 +134,51 @@ def hermitian_difference(t: float, delta: float, params: ModelParams,
     return frame.conj().T @ full @ frame
 
 
-def positivity_report(t: float, delta: float, params: ModelParams,
-                      sign: int) -> PositivityReport:
-    s = _check_sign(sign)
-    w = (position_flow_form(delta, params, s)
-         - evolved_flow_form(t, params, s)) * np.exp(s * t)
-    coeffs = np.array([w.a, w.b, w.c, w.d])
+def _form_difference(t: float, params: ModelParams, sign: int):
+    """The map delta -> w = e^{sign t} (position form(delta) - evolved form(t)).
+
+    The evolved side and e^{sign t} depend on t only and are formed once, so
+    each evaluation costs one ``position_flow_form``.
+    """
+    evolved = evolved_flow_form(t, params, sign)
+    growth = np.exp(sign * t)
+
+    def difference(delta: float) -> Biquaternion:
+        return (position_flow_form(delta, params, sign) - evolved) * growth
+    return difference
+
+
+def _checked_determinant(w: Biquaternion, t: float, delta: float):
+    """(det, scale) of w: its norm form and 1 + max|coeff|^2.
+
+    Raises NonFiniteDeterminant, naming t and delta, if either overflowed.
+    The square is a float power, which rounds as numpy's scalar power does;
+    Python's abs and power raise OverflowError where numpy returns inf.
+    """
     det = w.norm()
-    with np.errstate(over="ignore"):
-        scale = 1.0 + np.max(np.abs(coeffs)) ** 2
-    if not (np.isfinite(det) and np.isfinite(scale)):
+    try:
+        scale = 1.0 + w.max_coeff() ** 2
+    except OverflowError:
+        scale = math.inf
+    if not (cmath.isfinite(det) and math.isfinite(scale)):
         raise NonFiniteDeterminant("determinant %r, scale %g at t=%g, delta=%g"
                                    % (det, scale, t, delta))
+    return det, scale
+
+
+def _report(t: float, delta: float, w: Biquaternion) -> PositivityReport:
+    """The report of the form difference w at (t, delta)."""
+    det, scale = _checked_determinant(w, t, delta)
     min_eig = w.a.real - math.hypot(w.b.imag, w.c.imag, w.d.imag)
-    return PositivityReport(t=float(t), delta=float(delta), coeffs=coeffs,
+    return PositivityReport(t=float(t), delta=float(delta),
+                            coeffs=np.array([w.a, w.b, w.c, w.d]),
                             det_value=det, det_residual=float(abs(det) / scale),
                             min_eigenvalue=min_eig, is_positive=min_eig > 0.0)
+
+
+def positivity_report(t: float, delta: float, params: ModelParams,
+                      sign: int) -> PositivityReport:
+    return _report(t, delta, _form_difference(t, params, sign)(delta))
 
 
 # ---------------------------------------------------------------------------

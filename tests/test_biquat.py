@@ -129,7 +129,18 @@ def test_conjugation_preserves_norm():
 def test_non_finite_coefficient_raises(slot, bad):
     coeffs = [0.5 + 0.25j] * 4
     coeffs[slot] = bad
-    with pytest.raises(NonFiniteBiquaternion):
+    with pytest.raises(NonFiniteBiquaternion,
+                       match="coefficient %s = " % "abcd"[slot]):
+        Biquaternion(*coeffs)
+
+
+@pytest.mark.parametrize("slot", range(3))
+def test_non_finite_message_names_the_first_bad_slot(slot):
+    coeffs = [1.0] * 4
+    coeffs[slot] = np.nan
+    coeffs[3] = np.inf
+    with pytest.raises(NonFiniteBiquaternion,
+                       match=r"coefficient %s = \(nan\+0j\)" % "abcd"[slot]):
         Biquaternion(*coeffs)
 
 

@@ -110,9 +110,10 @@ class TestVerdicts:
         assert result.details.endswith("grid witness INCONSISTENT")
 
     def test_positivity_verdict_reads_the_residual(self, capsys, monkeypatch):
-        def off_threshold(*args, original=acceptance.positivity_report):
+        # the sweep reads its reports through positivity._report
+        def off_threshold(*args, original=acceptance._report):
             return dataclasses.replace(original(*args), det_residual=1e-6)
-        monkeypatch.setattr(acceptance, "positivity_report", off_threshold)
+        monkeypatch.setattr(acceptance, "_report", off_threshold)
         rc, out, _ = run(capsys, ["positivity", "--nu", "1", "--alpha", "pi2",
                                   "--t", "0.5:1:2:lin"])
         assert rc == 0

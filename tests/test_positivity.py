@@ -1,13 +1,19 @@
 """Flow-form positivity, the threshold delta0, and the decay envelope."""
 
+import math
+
 import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
 
+from kfpq import acceptance
+from kfpq.biquat import Biquaternion
 from kfpq.positivity import (NonFiniteDeterminant, NonRealDelta0, _bracket,
-                             delta0, hermitian_difference,
-                             position_weight_decay_bound, positivity_report)
+                             _checked_determinant, _form_difference, _report,
+                             delta0, evolved_flow_form, hermitian_difference,
+                             position_flow_form, position_weight_decay_bound,
+                             positivity_report)
 from kfpq.symbols import ModelParams, hamilton_basis, kappa, kappa0
 
 ALPHAS = (0.0, np.pi / 2)
@@ -57,6 +63,85 @@ def test_report_overflow_names_t_and_delta():
     with np.errstate(all="ignore"):
         with pytest.raises(NonFiniteDeterminant, match="t=3, delta="):
             positivity_report(3.0, d0, params, 1)
+
+
+def test_root_find_overflow_names_t_and_delta():
+    # the root-find checks each determinant as positivity_report does
+    with np.errstate(all="ignore"):
+        with pytest.raises(NonFiniteDeterminant, match="t=3, delta="):
+            acceptance._delta0_root(3.0, ModelParams(nu=5000.0, alpha=0.0))
+
+
+@pytest.mark.parametrize("a", [
+    # |a|^2 = 1.8e308 overflows while a^2 = 1.08e308 + 1.44e308 i does not
+    complex(1.2e154, 0.6e154),
+    # abs(a) itself overflows, which Python's abs raises on
+    complex(1.5e308, 1.5e308),
+])
+def test_scale_overflow_raises(a):
+    with pytest.raises(NonFiniteDeterminant, match="scale inf at t=1, delta=2"):
+        _checked_determinant(Biquaternion(a), 1.0, 2.0)
+
+
+def _per_call_reference(t, delta, params, sign):
+    """The report's numbers built as before the t side was hoisted.
+
+    A fresh evolved form on every call and the numpy array scale.
+    """
+    w = (position_flow_form(delta, params, sign)
+         - evolved_flow_form(t, params, sign)) * np.exp(sign * t)
+    coeffs = np.array([w.a, w.b, w.c, w.d])
+    det = w.norm()
+    with np.errstate(over="ignore"):
+        scale = 1.0 + np.max(np.abs(coeffs)) ** 2
+    min_eig = w.a.real - math.hypot(w.b.imag, w.c.imag, w.d.imag)
+    return coeffs, det, float(abs(det) / scale), min_eig
+
+
+# the CLI's 0.05:3:24:log grid
+HOIST_TS = tuple(float(t) for t in np.geomspace(0.05, 3.0, 24))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("nu", [0.5, 1.0, 4.0, 25.0, 100.0])
+def test_hoisted_t_side_is_bit_identical(nu, alpha):
+    params = ModelParams(nu=nu, alpha=alpha)
+    for sign in (1, -1):
+        for t in HOIST_TS:
+            d0 = delta0(t, params)
+            difference = _form_difference(t, params, sign)
+            for delta in (0.0, 0.5 * d0, d0, 1.5 * d0):
+                coeffs, det, residual, min_eig = _per_call_reference(
+                    t, delta, params, sign)
+                for rep in (_report(t, delta, difference(delta)),
+                            positivity_report(t, delta, params, sign)):
+                    assert np.array_equal(rep.coeffs, coeffs)
+                    assert rep.det_value == det
+                    assert rep.det_residual == residual
+                    assert rep.min_eigenvalue == min_eig
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("nu", [0.5, 4.0, 25.0])
+def test_root_find_reads_the_report_determinant(nu, alpha, monkeypatch):
+    # every determinant brentq sees is positivity_report's, bit for bit
+    seen = []
+    brentq = scipy.optimize.brentq
+
+    def recording(f, *args, **kwargs):
+        def g(d):
+            value = f(d)
+            seen.append((float(d), value))
+            return value
+        return brentq(g, *args, **kwargs)
+    monkeypatch.setattr(scipy.optimize, "brentq", recording)
+    params = ModelParams(nu=nu, alpha=alpha)
+    for t in (0.05, 0.7, 3.0):
+        seen.clear()
+        acceptance._delta0_root(t, params)
+        assert len(seen) > 2
+        for d, value in seen:
+            assert value == positivity_report(t, d, params, 1).det_value.real
 
 
 def test_non_finite_threshold_raises():
