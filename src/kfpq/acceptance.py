@@ -34,7 +34,7 @@ from .exactnorms import (boosted_state_norm_quadrature, optimality_witness,
                          semigroup_norm, witness_rayleigh_numeric)
 from .galerkin import decay_curve, subelliptic_constant
 from .positivity import (NonRealDelta0, _checked_determinant,
-                         _form_difference, _report, delta0, positivity_report)
+                         _form_difference, _report, delta0)
 from .symbols import (ModelParams, generator_hessian, hamilton_basis,
                       hamilton_map, kappa, kappa0, rotated_oscillator_hessian)
 
@@ -148,13 +148,9 @@ def sweep_delta0(nus, alphas, ts):
     return ("nu", "alpha") + RESULT_COLUMNS, rows
 
 
-def sweep_positivity(nus, alphas, ts):
-    """Flow-form determinant at delta0 and interior eigenvalue at delta0/2.
-
-    The analytic and rel_discrepancy columns hold the determinant residual,
-    the oracle column the smallest interior eigenvalue (criterion 4).
-    """
-    rows = []
+def _positivity_rows(nus, alphas, ts):
+    """Each row of ``sweep_positivity``, with the form difference map of its
+    (nu, alpha, sign, t)."""
     for nu in nus:
         for alpha in alphas:
             params = ModelParams(nu=nu, alpha=alpha)
@@ -164,10 +160,23 @@ def sweep_positivity(nus, alphas, ts):
                     difference = _form_difference(t, params, sign)
                     det_res = _report(t, d0, difference(d0)).det_residual
                     inner = _report(t, 0.5 * d0, difference(0.5 * d0))
-                    rows.append([nu, alpha, sign, t, det_res, 0.0,
-                                 inner.min_eigenvalue, det_res,
-                                 det_res <= 1e-8 and bool(inner.is_positive)])
-    return ("nu", "alpha", "sign") + RESULT_COLUMNS, rows
+                    row = [nu, alpha, sign, t, det_res, 0.0,
+                           inner.min_eigenvalue, det_res,
+                           det_res <= 1e-8 and bool(inner.is_positive)]
+                    yield row, difference
+
+
+_POSITIVITY_COLUMNS = ("nu", "alpha", "sign") + RESULT_COLUMNS
+
+
+def sweep_positivity(nus, alphas, ts):
+    """Flow-form determinant at delta0 and interior eigenvalue at delta0/2.
+
+    The analytic and rel_discrepancy columns hold the determinant residual,
+    the oracle column the smallest interior eigenvalue (criterion 4).
+    """
+    return _POSITIVITY_COLUMNS, [row for row, _ in
+                                 _positivity_rows(nus, alphas, ts)]
 
 
 def sweep_bargmann(nus, ts):
@@ -392,16 +401,19 @@ def criterion_4():
     """Positivity threshold: vanishing determinant, cubic window, interior."""
     nus = (0.5, 1.0, 4.0, 25.0)
     ts = np.logspace(np.log10(0.05), np.log10(3.0), 10).tolist()
-    swept = _columns(sweep_positivity(nus, _ALPHAS, ts))
-    worst_ratio = 0.0
+    rows = []
     min_at_zero = np.inf
+    # the interior at delta = 0 is read off the maps the sweep formed
+    for row, difference in _positivity_rows(nus, _ALPHAS, ts):
+        rows.append(row)
+        t = row[3]
+        min_at_zero = min(min_at_zero,
+                          _report(t, 0.0, difference(0.0)).min_eigenvalue)
+    swept = _columns((_POSITIVITY_COLUMNS, rows))
+    worst_ratio = 0.0
     for nu in nus:
         for alpha in _ALPHAS:
             params = ModelParams(nu=nu, alpha=alpha)
-            for t in ts:
-                for sign in (1, -1):
-                    min_at_zero = min(min_at_zero, positivity_report(
-                        t, 0.0, params, sign).min_eigenvalue)
             t_small = 1e-2 / (1.0 + np.sqrt(nu))
             ratio = delta0(t_small, params) / (nu * t_small ** 3 / 12.0)
             worst_ratio = max(worst_ratio, abs(ratio - 1.0))

@@ -4,7 +4,8 @@
 A compute command prints one sweep's table (CSV, or JSON with ``--format
 json``); its rows end in t, analytic, bound, oracle, rel_discrepancy and
 converged_flag, the verdict under the covering criterion's tolerance.  Output
-for a fixed configuration is byte-identical across runs; timings go to stderr
+for a fixed configuration is byte-identical across runs and BLAS thread
+counts (``main`` runs each command on one thread); timings go to stderr
 only.  Exit codes: 0 success, 1 acceptance failure (verify-all), 2
 configuration error, 3 numerical failure.
 """
@@ -12,6 +13,8 @@ configuration error, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import ctypes
 import functools
 import json
 import sys
@@ -372,7 +375,82 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# ---------------------------------------------------------------------------
+# BLAS threads
+
+_PROC_MAPS = "/proc/self/maps"
+
+# (get, set) thread-count symbols of an OpenBLAS, in the order they are
+# tried: numpy's copy, scipy's copy, a system OpenBLAS
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS in this process.
+
+    The libraries are the mapped files whose path names OpenBLAS.  Importing
+    this module has loaded numpy's and scipy.linalg's, so one look suffices.
+    Where the map cannot be read or holds no OpenBLAS (other systems, MKL,
+    Accelerate) there are none.
+    """
+    try:
+        with open(_PROC_MAPS, "r", encoding="utf-8") as fh:
+            fields = [line.split(None, 5) for line in fh]
+    except OSError:
+        return ()
+    paths = dict.fromkeys(f[5].strip() for f in fields
+                          if len(f) == 6 and "openblas" in f[5].lower())
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get = getattr(lib, get_name, None)
+            put = getattr(lib, set_name, None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                controls.append((get, put))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold every OpenBLAS at one thread; restore the caller's counts after."""
+    controls = _blas_thread_controls()
+    saved = [get() for get, _ in controls]
+    for _, put in controls:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(controls, saved):
+            put(count)
+
+
 def main(argv=None) -> int:
+    """Run one ``kfpq`` command; return its exit code.
+
+    BLAS and LAPACK run on one thread while the command runs, and every
+    OpenBLAS gets the caller's thread count back on each exit path.  So the
+    reports do not depend on OPENBLAS_NUM_THREADS, and several commands run
+    in one interpreter take less time than at two threads; one command
+    alone measured the same at both counts.  Library calls outside ``main``
+    are left alone.
+    """
+    with _one_blas_thread():
+        return _run(argv)
+
+
+def _run(argv) -> int:
     args = _build_parser().parse_args(argv)
     handler = _COMMANDS[args.command][1]
     try:

@@ -11,6 +11,7 @@ import pytest
 
 from kfpq import acceptance
 from kfpq.cli import main
+from kfpq.positivity import positivity_report
 
 # cheap, fully deterministic subset used for the byte-reproducibility check
 FAST_CRITERIA = (1, 2, 3, 4, 6, 8, 9)
@@ -62,6 +63,29 @@ def test_criterion_03_flow_closed_forms():
 
 def test_criterion_04_positivity_threshold():
     _check(4)
+
+
+def test_criterion_04_reads_delta_zero_off_the_sweep_maps(monkeypatch):
+    # one form map per (nu, alpha, sign, t), and the interior eigenvalue at
+    # delta = 0 read off each is positivity_report's, bit for bit
+    formed, at_zero = [], []
+
+    def counting(t, params, sign, original=acceptance._form_difference):
+        formed.append((t, params, sign))
+        return original(t, params, sign)
+
+    def recording(t, delta, w, original=acceptance._report):
+        rep = original(t, delta, w)
+        if delta == 0.0:
+            at_zero.append(rep.min_eigenvalue)
+        return rep
+
+    monkeypatch.setattr(acceptance, "_form_difference", counting)
+    monkeypatch.setattr(acceptance, "_report", recording)
+    assert acceptance.CRITERIA[4]().passed
+    assert len(formed) == len(at_zero) == 160
+    assert at_zero == [positivity_report(t, 0.0, params, sign).min_eigenvalue
+                       for t, params, sign in formed]
 
 
 def test_criterion_05_exact_semigroup_norm():

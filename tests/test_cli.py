@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 import scipy.sparse.linalg
 
-from kfpq import acceptance
+from kfpq import acceptance, cli
 from kfpq.cli import ConfigError, _build_parser, main
 
 
@@ -351,6 +351,124 @@ class TestVerifyAll:
         text = path.read_text()
         assert text.startswith("criterion 02 PASS")
         assert text.endswith("passed 1 of 1 criteria\n")
+
+
+def _thread_counts(controls):
+    return [get() for get, _ in controls]
+
+
+def _set_thread_counts(controls, count):
+    for _, put in controls:
+        put(count)
+
+
+@pytest.fixture
+def blas_controls():
+    """The OpenBLAS thread controls main uses; the counts are restored."""
+    controls = cli._blas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread control found in this process")
+    saved = _thread_counts(controls)
+    yield controls
+    for (_, put), count in zip(controls, saved):
+        put(count)
+
+
+class TestBlasThreads:
+    def test_commands_run_on_one_thread(self, capsys, monkeypatch,
+                                        blas_controls):
+        seen = []
+
+        def recording(*args, original=cli.sweep_norms):
+            seen.append(_thread_counts(blas_controls))
+            return original(*args)
+
+        monkeypatch.setattr(cli, "sweep_norms", recording)
+        _set_thread_counts(blas_controls, 2)
+        rc, _, _ = run(capsys, ["norms", "--t", "1:1:1:lin"])
+        assert rc == 0
+        assert seen == [[1] * len(blas_controls)]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["norms", "--t", "1:1:1:lin"], 0),
+        (["norms", "--nu", "-1"], 2),
+        (["delta0"], 3),
+    ])
+    def test_caller_counts_come_back(self, capsys, blas_controls, argv,
+                                     code):
+        for count in (2, 1):
+            _set_thread_counts(blas_controls, count)
+            rc, _, _ = run(capsys, argv)
+            assert rc == code
+            assert _thread_counts(blas_controls) == [count] * len(
+                blas_controls)
+
+    def test_caller_counts_come_back_after_an_exception(
+            self, capsys, monkeypatch, blas_controls):
+        def failing(*args):
+            raise RuntimeError("sweep failed")
+
+        monkeypatch.setattr(cli, "sweep_norms", failing)
+        _set_thread_counts(blas_controls, 2)
+        with pytest.raises(RuntimeError, match="sweep failed"):
+            main(["norms"])
+        with pytest.raises(SystemExit):
+            main(["norms", "--no-such-flag"])
+        capsys.readouterr()
+        assert _thread_counts(blas_controls) == [2] * len(blas_controls)
+
+    def test_subelliptic_report_independent_of_caller_counts(
+            self, capsys, blas_controls):
+        argv = ["subelliptic", "--dims", "24", "--nu", "1,-1,100,-100"]
+        outputs = []
+        for count in (2, 1):
+            _set_thread_counts(blas_controls, count)
+            rc, out, _ = run(capsys, argv)
+            assert rc == 0
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0]
+
+    @pytest.mark.parametrize("call", [
+        pytest.param(lambda: acceptance.sweep_optimality(
+            (8103.083927575384,)), id="witness"),
+        pytest.param(lambda: acceptance.sweep_positivity(
+            (0.5, 1.0, 4.0, 25.0, 100.0), (0.0, np.pi / 2),
+            np.logspace(np.log10(0.01), np.log10(3.0), 30).tolist()),
+            id="positivity"),
+        pytest.param(lambda: acceptance.sweep_delta0(
+            (0.5, 1.0, 4.0, 25.0), (0.0, np.pi / 2),
+            np.logspace(np.log10(0.05), np.log10(3.0), 24).tolist()),
+            id="delta0"),
+        pytest.param(lambda: acceptance.CRITERIA[5]().details,
+                     id="criterion-5"),
+        pytest.param(lambda: acceptance.CRITERIA[9]().details,
+                     id="criterion-9"),
+        pytest.param(lambda: acceptance.CRITERIA[10]().details,
+                     id="criterion-10", marks=pytest.mark.slow),
+    ])
+    def test_library_reports_independent_of_caller_counts(
+            self, blas_controls, call):
+        # called directly, outside main, so at the caller's counts; the
+        # subelliptic pencil is left out: its generalized eigh still
+        # differs in the last digits between one and two threads
+        outputs = []
+        for count in (1, 2):
+            _set_thread_counts(blas_controls, count)
+            outputs.append(repr(call()))
+        assert outputs[0] == outputs[1]
+
+    def test_main_runs_without_a_process_map(
+            self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "_PROC_MAPS", str(tmp_path / "missing"))
+        cli._blas_thread_controls.cache_clear()
+        try:
+            assert cli._blas_thread_controls() == ()
+            rc, out, _ = run(capsys, ["norms", "--t", "1:1:1:lin"])
+        finally:
+            cli._blas_thread_controls.cache_clear()
+        assert rc == 0
+        assert out.startswith("# kfpq schema 1 command=norms")
 
 
 # Runs in a fresh interpreter: other test modules import scipy.optimize into
