@@ -12,6 +12,17 @@ exponential and the norm form in the test suite.
 
 Conventions: i*j = k, j*k = i, k*i = j, and the scalar imaginary unit of the
 coefficients commutes with everything.
+
+Coefficients are Python complex numbers, and the algebra and its
+exponential run on Python scalars: ``cmath`` for the elementary functions,
+numpy only where the two round differently.  The scalar helpers below
+(``_exp``, ``_cosh_sinh``, ``_cos_sin``, ``_sqrt``, ``_cdiv``) are shared
+with the closed flows of ``kfpq.symbols`` and ``kfpq.positivity``.  Each
+returns numpy's value bit for bit: ``cmath`` agrees with numpy's complex
+exp, cosh, sinh, cos, sin and sqrt inside the ranges they test, and numpy
+evaluates the rest, so an overflow gives inf (with numpy's warning) where
+``cmath`` would raise.  Complex division always goes through numpy, which
+scales by a reciprocal where Python divides.
 """
 
 from __future__ import annotations
@@ -26,6 +37,51 @@ __all__ = ["Biquaternion", "NonFiniteBiquaternion", "SingularBiquaternion"]
 # Below this modulus of N(v) the exponential switches to even power series in
 # N(v); cos and sinc are entire in N(v), so the switch is smooth.
 _SERIES_CUTOFF = 1e-4
+
+# Below this exponent cmath and numpy's complex exp, cosh and sinh take the
+# same unscaled path (both rescale from about 708 on, in different ways).
+_CMATH_RANGE = 700.0
+
+_isfinite = cmath.isfinite
+_setattr = object.__setattr__
+
+
+def _exp(z: complex) -> complex:
+    """e^z, rounded as numpy's complex exp."""
+    if abs(z.real) < _CMATH_RANGE:
+        return cmath.exp(z)
+    return complex(np.exp(z))
+
+
+def _cosh_sinh(z: complex):
+    """(cosh z, sinh z), rounded as numpy's complex cosh and sinh."""
+    if abs(z.real) < _CMATH_RANGE:
+        return cmath.cosh(z), cmath.sinh(z)
+    return complex(np.cosh(z)), complex(np.sinh(z))
+
+
+def _cos_sin(z: complex):
+    """(cos z, sin z), rounded as numpy's complex cos and sin."""
+    if abs(z.imag) < _CMATH_RANGE:
+        return cmath.cos(z), cmath.sin(z)
+    return complex(np.cos(z)), complex(np.sin(z))
+
+
+def _sqrt(z: complex) -> complex:
+    """Principal square root, rounded as numpy's complex sqrt.
+
+    numpy special-cases a zero real part and rescales tiny moduli; away
+    from those the two agree.
+    """
+    if abs(z.real) > 1e-150:
+        return cmath.sqrt(z)
+    return complex(np.sqrt(complex(z)))
+
+
+def _cdiv(p: complex, q: complex) -> complex:
+    """p / q rounded as numpy's complex division, which differs from
+    Python's in the last bit for about a quarter of quotients."""
+    return complex(np.complex128(p) / q)
 
 
 class SingularBiquaternion(ZeroDivisionError):
@@ -46,33 +102,40 @@ def _sqrt_cos_sinc(nv: complex):
         c = 1 - nv / 2 + nv * nv / 24 - nv ** 3 / 720
         s = 1 - nv / 6 + nv * nv / 120 - nv ** 3 / 5040
         return c, s
-    r = np.sqrt(complex(nv))
-    return np.cos(r), np.sin(r) / r
+    r = _sqrt(nv)
+    cos_r, sin_r = _cos_sin(r)
+    return cos_r, _cdiv(sin_r, r)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Biquaternion:
-    """Quaternion a + b*i + c*j + d*k with complex coefficients."""
+    """Quaternion a + b*i + c*j + d*k with complex coefficients.
+
+    Every coefficient is converted to a Python complex and checked finite
+    when an element is constructed.
+    """
 
     a: complex
-    b: complex = 0j
-    c: complex = 0j
-    d: complex = 0j
+    b: complex
+    c: complex
+    d: complex
 
-    def __post_init__(self):
-        a, b, c, d = (complex(self.a), complex(self.b), complex(self.c),
-                      complex(self.d))
-        isfinite = cmath.isfinite
-        if not (isfinite(a) and isfinite(b) and isfinite(c) and isfinite(d)):
+    def __init__(self, a: complex, b: complex = 0j, c: complex = 0j,
+                 d: complex = 0j):
+        a = complex(a)
+        b = complex(b)
+        c = complex(c)
+        d = complex(d)
+        if not (_isfinite(a) and _isfinite(b) and _isfinite(c)
+                and _isfinite(d)):
             name, v = next((name, v) for name, v in zip("abcd", (a, b, c, d))
-                           if not isfinite(v))
+                           if not _isfinite(v))
             raise NonFiniteBiquaternion("non-finite coefficient %s = %r"
                                         % (name, v))
-        setattr = object.__setattr__
-        setattr(self, "a", a)
-        setattr(self, "b", b)
-        setattr(self, "c", c)
-        setattr(self, "d", d)
+        _setattr(self, "a", a)
+        _setattr(self, "b", b)
+        _setattr(self, "c", c)
+        _setattr(self, "d", d)
 
     # ring structure ----------------------------------------------------
 
@@ -146,9 +209,9 @@ class Biquaternion:
         negated root gives the same element.
         """
         c, s = _sqrt_cos_sinc(self.vector_norm())
-        ea = np.exp(complex(self.a))
-        return Biquaternion(ea * c, ea * s * self.b, ea * s * self.c,
-                            ea * s * self.d)
+        ea = _exp(self.a)
+        eas = ea * s
+        return Biquaternion(ea * c, eas * self.b, eas * self.c, eas * self.d)
 
     # matrix representation ----------------------------------------------
 

@@ -337,6 +337,9 @@ class WitnessGrid:
 _STRIP_ROWS = 128
 _TILE_COLS = 128
 
+# e^x rounds to exactly 0.0 for every x below ln(2^-1075) = -745.13...
+_EXP_UNDERFLOW = -746.0
+
 
 @dataclass(frozen=True)
 class WitnessNumeric:
@@ -386,18 +389,50 @@ def _fill_tile(out, f_tab, g_tab):
                 strides=((width + 1) * step, (width - 1) * step))
 
 
-def _witness_field(nu: float, n: int, grid: WitnessGrid):
+def _witness_tables(nu: float, n: int, grid: WitnessGrid, rule):
+    """Grid axis xs and the (2n-1) x s_nodes diagonal tables F and G.
+
+    rule is the (nodes, weights) of the ``grid.s_nodes``-point
+    Gauss-Legendre rule on [-1, 1], which the caller forms once for all its
+    grids.  Column s of F is w_s exp(-e^{2s} (q+p)^2 / 4) / (L sqrt(pi)), the
+    weight and normalization folded in, and column s of G is
+    exp(-e^{-2s} (q-p)^2 / 4), both over the 2n - 1 diagonal points.  About
+    two thirds of F underflows to exactly zero; its exp is taken only where
+    the exponent is at least ``_EXP_UNDERFLOW``, which leaves the same table.
+    """
+    big_l = np.log(nu) / 4.0
+    extent = grid.extent_factor * np.exp(big_l)
+    xs = np.linspace(-extent, extent, n)
+
+    nodes, weights = rule
+    s_vals = 0.5 * big_l * (nodes + 1.0)
+    s_weights = 0.5 * big_l * weights
+
+    diag = np.linspace(-2.0 * extent, 2.0 * extent, 2 * n - 1)
+    quarter_sq = 0.25 * diag * diag
+    f_exponent = np.multiply.outer(-quarter_sq, np.exp(2.0 * s_vals))
+    f_tab = np.zeros_like(f_exponent)
+    np.exp(f_exponent, out=f_tab, where=f_exponent >= _EXP_UNDERFLOW)
+    del f_exponent
+    g_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(-2.0 * s_vals)))
+    f_tab *= s_weights / (big_l * np.sqrt(np.pi))
+    return xs, f_tab, g_tab
+
+
+def _witness_field(nu: float, n: int, grid: WitnessGrid, rule):
     """Grid axis xs, rows(i0, i1, j0, j1) = u[i0:i1, j0:j1] and bound(i0, i1).
 
-    u = (1/L) int_0^L phi_s ds on the n x n (q, p) grid.  The slice exponent
+    u = (1/L) int_0^L phi_s ds on the n x n (q, p) grid, with the
+    Gauss-Legendre rule passed on to ``_witness_tables``.  The slice exponent
     separates along the diagonals:
     a^2 + b^2 = (e^{2s} (q+p)^2 + e^{-2s} (q-p)^2) / 2.  On the uniform grid
     q + p at node (i, j) depends only on i + j and q - p only on i - j, and
     both run over the same 2n - 1 points.  So with Gauss-Legendre weights w_s,
-    u[i, j] = sum_s w_s F_s[i+j] G_s[i-j+n-1] for two (2n-1) x s_nodes tables
-    F_s = exp(-e^{2s} (q+p)^2 / 4) and G_s = exp(-e^{-2s} (q-p)^2 / 4).  The
-    rows are contracted over s one column tile at a time (``_fill_tile``),
-    so no n x n array is formed unless the whole grid is asked for.
+    u[i, j] = sum_s w_s F_s[i+j] G_s[i-j+n-1] for the two tables of
+    ``_witness_tables``, F_s = exp(-e^{2s} (q+p)^2 / 4) and
+    G_s = exp(-e^{-2s} (q-p)^2 / 4).  The rows are contracted over s one
+    column tile at a time (``_fill_tile``), so no n x n array is formed
+    unless the whole grid is asked for.
 
     Every factor is positive, and each table column is a Gaussian in the
     diagonal coordinate, so it is non-increasing in |index - (n-1)|.  Over
@@ -406,19 +441,7 @@ def _witness_field(nu: float, n: int, grid: WitnessGrid):
     nearest n - 1, each table takes its largest value.  Hence every row of
     column j has u[i, j] <= sum_s F_s[a*] G_s[b*] = bound(i0, i1)[j].
     """
-    big_l = np.log(nu) / 4.0
-    extent = grid.extent_factor * np.exp(big_l)
-    xs = np.linspace(-extent, extent, n)
-
-    nodes, weights = np.polynomial.legendre.leggauss(grid.s_nodes)
-    s_vals = 0.5 * big_l * (nodes + 1.0)
-    s_weights = 0.5 * big_l * weights
-
-    diag = np.linspace(-2.0 * extent, 2.0 * extent, 2 * n - 1)
-    quarter_sq = 0.25 * diag * diag
-    f_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(2.0 * s_vals)))
-    g_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(-2.0 * s_vals)))
-    f_tab *= s_weights / (big_l * np.sqrt(np.pi))
+    xs, f_tab, g_tab = _witness_tables(nu, n, grid, rule)
 
     def rows(i0: int, i1: int, j0: int, j1: int):
         u = np.empty((i1 - i0, j1 - j0))
@@ -556,12 +579,14 @@ def witness_rayleigh_numeric(nu: float,
         raise ValueError("witness regime needs log(nu)/4 > 2")
     if grid is None:
         grid = WitnessGrid()
+    rule = np.polynomial.legendre.leggauss(grid.s_nodes)
     coarse_q, usq, x0sq, opsq = _witness_on_grid(
-        nu, *_witness_field(nu, grid.n, grid))
+        nu, *_witness_field(nu, grid.n, grid, rule))
     n_fine = int(round(grid.n * grid.refine_factor))
     if n_fine % 2 == 0:
         n_fine += 1
-    fine_q, *_ = _witness_on_grid(nu, *_witness_field(nu, n_fine, grid))
+    fine_q, *_ = _witness_on_grid(nu, *_witness_field(nu, n_fine, grid,
+                                                       rule))
     drift = abs(fine_q / coarse_q - 1.0)
     if drift > grid.drift_tol:
         raise GridUnderResolved(

@@ -18,13 +18,22 @@ blocks on the invariant planes.  The flows ``kappa`` (model evolution) and
 ``kappa0`` (position weight twist) are closed forms; scipy.linalg.expm of
 the Hamilton map serves as their oracle in the tests, never as the
 implementation.
+
+The scalar factors of the flows (``ModelParams.z``, ``n1sq``, ``n1`` and the
+flow factors C and S) are evaluated on Python scalars with the helpers of
+``kfpq.biquat``, which round as numpy does.  The basis of each angle is
+built once and shared: its arrays are read-only.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from kfpq.biquat import _cdiv, _cosh_sinh, _exp, _sqrt
 
 __all__ = [
     "PotentialSpec",
@@ -133,17 +142,17 @@ class ModelParams:
     @property
     def z(self) -> complex:
         """Rotated curvature coefficient e^{i alpha} sqrt(nu)."""
-        return np.exp(1j * self.alpha) * np.sqrt(self.nu)
+        return _exp(1j * self.alpha) * math.sqrt(self.nu)
 
     @property
     def n1sq(self) -> float:
         """1 + 4 z^2, real for the two admissible angles."""
-        return 1.0 + 4.0 * self.nu * np.cos(2.0 * self.alpha)
+        return 1.0 + 4.0 * self.nu * math.cos(2.0 * self.alpha)
 
     @property
     def n1(self) -> complex:
         """Principal square root of 1 + 4 z^2."""
-        return np.sqrt(complex(self.n1sq))
+        return _sqrt(complex(self.n1sq))
 
     @property
     def r1(self) -> float:
@@ -219,7 +228,8 @@ class HamiltonBasis:
     sigma = sin(alpha) E + cos(alpha) I is the unit appearing in the
     sesquilinear positivity forms.  T_plus and T_minus are the isometric
     4x2 column maps onto the two invariant planes; compressing a flow by
-    them yields its 2x2 blocks.
+    them yields its 2x2 blocks.  The arrays are read-only, since
+    ``hamilton_basis`` hands the same basis to every caller.
     """
 
     E: np.ndarray
@@ -232,7 +242,13 @@ class HamiltonBasis:
     alpha: float
 
 
+@functools.lru_cache(maxsize=8)
 def hamilton_basis(alpha: float) -> HamiltonBasis:
+    """The basis adapted to alpha, built once per angle.
+
+    Cached on the exact value of alpha: an angle within ``_ALPHA_TOL`` of 0
+    or pi/2 gets a basis of its own, not the one of the angle it is near.
+    """
     if min(abs(alpha), abs(alpha - np.pi / 2)) > _ALPHA_TOL:
         raise ValueError("alpha must be 0 or pi/2, got %r" % (alpha,))
     ep = np.exp(1j * alpha)
@@ -263,6 +279,8 @@ def hamilton_basis(alpha: float) -> HamiltonBasis:
                              [0, 1],
                              [1j / e2, 0],
                              [0, -1j]], dtype=complex)
+    for unit in (E, I, J, K, sigma, T_plus, T_minus):
+        unit.flags.writeable = False
     return HamiltonBasis(E=E, I=I, J=J, K=K, sigma=sigma,
                          T_plus=T_plus, T_minus=T_minus, alpha=alpha)
 
@@ -278,6 +296,10 @@ class CanonicalMap:
     matrix: np.ndarray
 
 
+_ID4 = np.eye(4, dtype=complex)
+_ID4.flags.writeable = False
+
+
 def _flow_factors(t: float, n1sq: float):
     """cosh(t n1 / 2) and sinh(t n1 / 2) / n1 as even functions of n1.
 
@@ -289,9 +311,9 @@ def _flow_factors(t: float, n1sq: float):
         c = 1 + th2 / 2 + th2 * th2 / 24
         s = (t / 2) * (1 + th2 / 6 + th2 * th2 / 120)
         return c, s
-    n1 = np.sqrt(complex(n1sq))
-    th = t * n1 / 2
-    return np.cosh(th), np.sinh(th) / n1
+    n1 = _sqrt(complex(n1sq))
+    ch, sh = _cosh_sinh(t * n1 / 2)
+    return ch, _cdiv(sh, n1)
 
 
 def kappa(t: float, params: ModelParams) -> CanonicalMap:
@@ -303,11 +325,11 @@ def kappa(t: float, params: ModelParams) -> CanonicalMap:
     model symbol.
     """
     basis = hamilton_basis(params.alpha)
-    idm = np.eye(4, dtype=complex)
+    # real cosh and sinh stay numpy's: libm's round differently
     c0, s0 = np.cosh(t / 2), np.sinh(t / 2)
     c1, s1 = _flow_factors(t, params.n1sq)
-    left = c0 * idm + 1j * s0 * basis.E
-    right = c1 * idm + 1j * s1 * (basis.I + 2 * params.z * basis.J)
+    left = c0 * _ID4 + 1j * s0 * basis.E
+    right = c1 * _ID4 + 1j * s1 * (basis.I + 2 * params.z * basis.J)
     return CanonicalMap(left @ right)
 
 
@@ -320,9 +342,7 @@ def kappa0(delta: float, params: ModelParams) -> CanonicalMap:
     expm(+i delta F0) with F0 the Hamilton map of (q^2 + xi_q^2) / 2.
     """
     basis = hamilton_basis(params.alpha)
-    idm = np.eye(4, dtype=complex)
-    w = delta * np.exp(2j * params.alpha) / 2
-    cw, sw = np.cosh(w), np.sinh(w)
-    matrix = (cw * idm + 1j * sw * basis.E) @ (cw * idm - 1j * sw * basis.I)
+    cw, sw = _cosh_sinh(delta * _exp(2j * params.alpha) / 2)
+    matrix = (cw * _ID4 + 1j * sw * basis.E) @ (cw * _ID4 - 1j * sw * basis.I)
     return CanonicalMap(matrix)
 

@@ -1,10 +1,16 @@
 """Algebra checks for the 2x2 complexified quaternion wrapper."""
 
+import cmath
+import math
+
+import mpmath
 import numpy as np
 import pytest
 
-from kfpq.biquat import (Biquaternion, NonFiniteBiquaternion,
-                         SingularBiquaternion)
+from kfpq.biquat import (_SERIES_CUTOFF, Biquaternion, NonFiniteBiquaternion,
+                         SingularBiquaternion, _sqrt_cos_sinc)
+
+EPS = np.finfo(float).eps
 
 
 def random_biquat(rng, scale=0.8):
@@ -94,6 +100,46 @@ def test_exp_small_vector_series_branch():
     closed = w.exp().to_matrix()
     series = matrix_exp_series(w.to_matrix())
     assert np.max(np.abs(closed - series)) < 1e-14
+
+
+def _cos_sinc_mpmath(nv):
+    """cos(sqrt(nv)) and sin(sqrt(nv)) / sqrt(nv) at 50 digits."""
+    with mpmath.workdps(50):
+        nv = mpmath.mpc(nv)
+        if nv == 0:
+            return mpmath.mpf(1), mpmath.mpf(1)
+        r = mpmath.sqrt(nv)
+        return mpmath.cos(r), mpmath.sin(r) / r
+
+
+def _cutoff_pair(unit):
+    """Adjacent scales x_lo < x_hi with |x unit| below and at the cutoff."""
+    def series(x):
+        return abs(x * unit) < _SERIES_CUTOFF
+
+    x = _SERIES_CUTOFF
+    while series(x):
+        x = math.nextafter(x, math.inf)
+    while not series(x):
+        x = math.nextafter(x, 0.0)
+    return x, math.nextafter(x, math.inf)
+
+
+# N(v) positive, negative (cos and sinc turn into cosh and sinh), imaginary
+# and in general position
+@pytest.mark.parametrize("phase", [0.0, math.pi, math.pi / 2, 2.0, -0.7])
+def test_cos_sinc_against_mpmath_across_series_switch(phase):
+    unit = cmath.exp(1j * phase)
+    x_lo, x_hi = _cutoff_pair(unit)
+    assert abs(x_lo * unit) < _SERIES_CUTOFF <= abs(x_hi * unit)
+    for x in (0.0, 0.1 * x_lo, 0.9 * x_lo, x_lo, x_hi, 1.1 * x_hi,
+              10.0 * x_hi):
+        nv = x * unit
+        for got, ref in zip(_sqrt_cos_sinc(nv), _cos_sinc_mpmath(nv)):
+            assert float(abs(got - ref) / abs(ref)) <= 4 * EPS
+    # continuity: one ulp of scale apart, the two branches agree to rounding
+    for lo, hi in zip(_sqrt_cos_sinc(x_lo * unit), _sqrt_cos_sinc(x_hi * unit)):
+        assert abs(hi - lo) <= 4 * EPS * abs(lo)
 
 
 def test_inverse():

@@ -7,7 +7,7 @@ import pytest
 from kfpq.acceptance import sweep_norms
 from kfpq.exactnorms import (_LOG_SWITCH, _STRIP_ROWS, _TILE_COLS,
                              GridUnderResolved, WitnessGrid, _support_window,
-                             _witness_field, _witness_on_grid,
+                             _witness_field, _witness_on_grid, _witness_tables,
                              boosted_state_norm_quadrature,
                              optimality_witness, oscillator_norm_closed,
                              oscillator_norm_quadrature, overlap_closed,
@@ -210,6 +210,11 @@ class TestOptimalityWitness:
         assert max(values) <= 9.5
 
 
+def _rule(grid):
+    """The Gauss-Legendre rule ``witness_rayleigh_numeric`` forms per call."""
+    return np.polynomial.legendre.leggauss(grid.s_nodes)
+
+
 def per_node_witness_field(nu, n, grid):
     """u summed node by node from exp(-(a^2+b^2)/2) over the full grid."""
     big_l = np.log(nu) / 4.0
@@ -226,13 +231,8 @@ def per_node_witness_field(nu, n, grid):
     return xs, u / (big_l * np.sqrt(np.pi))
 
 
-def _dense_witness_reference(nu, n, grid):
-    """Quotient, ||u||^2, ||X0 u||^2, ||O_p u||^2 from full-grid arrays.
-
-    The whole (2n-1)^2 product of the separable tables is formed, u is read
-    off its diagonals, and every stencil array covers the full n x n grid;
-    the interior is summed in one piece.
-    """
+def _reference_tables(nu, n, grid):
+    """Grid axis and the two diagonal tables, every exp taken."""
     big_l = np.log(nu) / 4.0
     extent = grid.extent_factor * np.exp(big_l)
     xs = np.linspace(-extent, extent, n)
@@ -244,6 +244,17 @@ def _dense_witness_reference(nu, n, grid):
     f_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(2.0 * s_vals)))
     g_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(-2.0 * s_vals)))
     f_tab *= s_weights / (big_l * np.sqrt(np.pi))
+    return xs, f_tab, g_tab
+
+
+def _dense_witness_reference(nu, n, grid):
+    """Quotient, ||u||^2, ||X0 u||^2, ||O_p u||^2 from full-grid arrays.
+
+    The whole (2n-1)^2 product of the separable tables is formed, u is read
+    off its diagonals, and every stencil array covers the full n x n grid;
+    the interior is summed in one piece.
+    """
+    xs, f_tab, g_tab = _reference_tables(nu, n, grid)
     prod = f_tab @ g_tab.T
     # prod[i+j, i-j+n-1] sits at flat offset i 2n + j (2n-2) + n-1
     step = prod.itemsize
@@ -333,7 +344,7 @@ class TestWitnessNumeric:
     def test_separable_field_matches_per_node_sum(self, n):
         nu = float(np.exp(9.0))
         grid = WitnessGrid(n=n, s_nodes=24)
-        xs, rows, bound = _witness_field(nu, n, grid)
+        xs, rows, bound = _witness_field(nu, n, grid, _rule(grid))
         xs_ref, u_ref = per_node_witness_field(nu, n, grid)
         assert np.array_equal(xs, xs_ref)
         scale = np.max(np.abs(u_ref))
@@ -353,6 +364,19 @@ class TestWitnessNumeric:
         for g, r in zip(got, ref):
             assert abs(g / r - 1.0) <= 1e-12
 
+    @pytest.mark.parametrize("log_nu", [8.5, 9.0, 16.0])
+    @pytest.mark.parametrize("n", [151, 1201, 1801])
+    def test_tables_skipping_underflow_are_bit_identical(self, n, log_nu):
+        # the exps of F that underflow are skipped, not taken: the tables are
+        # the ones every exp gives, byte for byte
+        nu = float(np.exp(log_nu))
+        grid = WitnessGrid(n=n)
+        got = _witness_tables(nu, n, grid, _rule(grid))
+        reference = _reference_tables(nu, n, grid)
+        assert np.count_nonzero(reference[1] == 0.0) > reference[1].size // 2
+        for g, r in zip(got, reference):
+            assert g.tobytes() == r.tobytes()
+
     @pytest.mark.parametrize("log_nu", [9.0, 12.0, 16.0])
     @pytest.mark.parametrize("n,s_nodes", [(150, 24), (151, 24), (1201, 64)])
     def test_streamed_grid_matches_dense_reference(self, n, s_nodes, log_nu):
@@ -362,7 +386,8 @@ class TestWitnessNumeric:
         assert (n // 2 - 4) % _STRIP_ROWS
         nu = float(np.exp(log_nu))
         grid = WitnessGrid(n=n, s_nodes=s_nodes)
-        got = _witness_on_grid(nu, *_witness_field(nu, n, grid))
+        got = _witness_on_grid(nu, *_witness_field(nu, n, grid,
+                                                     _rule(grid)))
         ref = _dense_witness_reference(nu, n, grid)
         for g, r in zip(got, ref):
             assert abs(g / r - 1.0) <= 1e-12
@@ -371,7 +396,8 @@ class TestWitnessNumeric:
     @pytest.mark.parametrize("n", [150, 151, 1201])
     def test_support_windows_skip_only_negligible_field(self, n, log_nu):
         nu = float(np.exp(log_nu))
-        _, rows, bound = _witness_field(nu, n, WitnessGrid(n=n))
+        grid = WitnessGrid(n=n)
+        _, rows, bound = _witness_field(nu, n, grid, _rule(grid))
         half = n // 2
         u0 = rows(half, half + 1, n - 1 - half, n - half)[0, 0]
         floor = np.finfo(float).eps ** 2 * u0
@@ -399,7 +425,8 @@ class TestWitnessNumeric:
     @pytest.mark.parametrize("n", [150, 151, 1201])
     def test_trimmed_sums_match_full_width(self, n, log_nu):
         nu = float(np.exp(log_nu))
-        xs, rows, bound = _witness_field(nu, n, WitnessGrid(n=n))
+        grid = WitnessGrid(n=n)
+        xs, rows, bound = _witness_field(nu, n, grid, _rule(grid))
         got = _witness_on_grid(nu, xs, rows, bound)
         # an infinite bound keeps every column of every strip
         full = _witness_on_grid(nu, xs, rows,
@@ -411,8 +438,8 @@ class TestWitnessNumeric:
         # on a grid 16 times the witness scale wide, the first strip lies
         # wholly below eps^2 of the peak and fills no column
         nu, n = float(np.exp(9.0)), 601
-        xs, rows, bound = _witness_field(
-            nu, n, WitnessGrid(n=n, extent_factor=16.0))
+        grid = WitnessGrid(n=n, extent_factor=16.0)
+        xs, rows, bound = _witness_field(nu, n, grid, _rule(grid))
         u0 = rows(n // 2, n // 2 + 1, n // 2, n // 2 + 1)[0, 0]
         floor = np.finfo(float).eps ** 2 * u0
         assert _support_window(bound(2, 4 + _STRIP_ROWS + 2), floor) == (0, 0)

@@ -99,30 +99,33 @@ def _defaulted_parameters(tree):
     """(function, parameter, positional index or None) of each default.
 
     The index of a method's parameter is counted after self or cls, as a
-    call through an instance or the class passes it.
+    call through an instance or the class passes it.  A constructor's
+    defaults are listed under its class's name, which its calls use.
     """
     found = []
 
-    def visit(node, in_class):
+    def visit(node, cls):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.FunctionDef):
                 args = child.args
                 positional = args.posonlyargs + args.args
-                bound = in_class and not any(
+                bound = cls is not None and not any(
                     isinstance(d, ast.Name) and d.id == "staticmethod"
                     for d in child.decorator_list)
+                name = cls if child.name == "__init__" and cls else child.name
                 first = len(positional) - len(args.defaults)
                 for index in range(first, len(positional)):
-                    found.append((child.name, positional[index].arg,
+                    found.append((name, positional[index].arg,
                                   index - bound))
                 for arg, default in zip(args.kwonlyargs, args.kw_defaults):
                     if default is not None:
-                        found.append((child.name, arg.arg, None))
-                visit(child, False)
+                        found.append((name, arg.arg, None))
+                visit(child, None)
             else:
-                visit(child, isinstance(child, ast.ClassDef))
+                visit(child, child.name if isinstance(child, ast.ClassDef)
+                      else None)
 
-    visit(tree, False)
+    visit(tree, None)
     return found
 
 

@@ -251,18 +251,61 @@ def test_bracket_against_mpmath_across_switch(n1sq, scaled_t):
     assert float(abs((got - exact) / exact)) < 1e-13
 
 
+def _delta0_mpmath(t, nu, alpha):
+    """The closed threshold of ``delta0`` at 60 digits."""
+    with mpmath.workdps(60):
+        t, nu, alpha = mpmath.mpf(t), mpmath.mpf(nu), mpmath.mpf(alpha)
+        n1sq = 1 + 4 * nu * mpmath.cos(2 * alpha)
+        if n1sq == 0:
+            c, s = mpmath.mpf(1), t / 2
+        else:
+            n1 = mpmath.sqrt(mpmath.mpc(n1sq))
+            c, s = mpmath.cosh(t * n1 / 2), mpmath.sinh(t * n1 / 2) / n1
+        a = 2 * s * s - (mpmath.cosh(t) - 1)
+        x = 2 * c * s + mpmath.sinh(t)
+        return mpmath.re(mpmath.exp(-2j * alpha) / 2
+                         * mpmath.log1p(2 * a / (x - a)))
+
+
+@pytest.mark.parametrize("alpha", ALPHAS)
+@pytest.mark.parametrize("nu", [1e-3, 0.5, 4.0, 1e4])
+def test_threshold_against_mpmath_down_to_small_t(nu, alpha):
+    # the cubic regime nu t^3 / 12 down to t = 1e-8, where numpy's complex
+    # log1p, which forms 1 + z, kept about eps / |z| of relative accuracy
+    # and returned 0 at t = 1e-6
+    params = ModelParams(nu=nu, alpha=alpha)
+    for t in np.geomspace(1e-8, 3.0, 40):
+        exact = _delta0_mpmath(float(t), nu, alpha)
+        got = delta0(float(t), params)
+        assert float(abs(got - exact) / exact) <= 5e-12
+
+
+def test_decay_envelope_at_small_t():
+    # the threshold no longer comes out 0 here, which made the envelope
+    # divide by zero
+    params = ModelParams(nu=0.5, alpha=np.pi / 2)
+    d = delta0(1e-6, params)
+    assert abs(d / (0.5 * 1e-18 / 12.0) - 1.0) < 1e-5
+    bound = position_weight_decay_bound(1e-6, params)
+    expected = (math.sqrt(0.5 / (d / 2.0)) * math.sqrt(0.5) * math.exp(-0.5)
+                * math.exp(-1e-6 * math.sqrt(0.5)))
+    assert abs(bound / expected - 1.0) < 1e-14
+
+
 # min delta0 / (nu t^3) over 60 log-spaced times in [t0 / 1000, t0],
-# t0 = 0.5 / (1 + sqrt(nu)), frozen from the implementation at build time
-# (exact small-time limit is 1/12 = 0.08333...)
+# t0 = 0.5 / (1 + sqrt(nu)), frozen from the implementation at build time.
+# The exact small-time limit is 1/12 = 0.08333...; the attracting minimum
+# lies above it (by 6e-9 to 5e-8 in 60-digit arithmetic), the repelling one
+# below.
 FROZEN_C_FIT = {
     (1.0, 0.0): 0.081790,
     (10.0, 0.0): 0.080833,
     (100.0, 0.0): 0.079911,
     (1e4, 0.0): 0.079301,
-    (1.0, np.pi / 2): 0.083332,
+    (1.0, np.pi / 2): 0.083333,
     (10.0, np.pi / 2): 0.083333,
-    (100.0, np.pi / 2): 0.083331,
-    (1e4, np.pi / 2): 0.083319,
+    (100.0, np.pi / 2): 0.083333,
+    (1e4, np.pi / 2): 0.083333,
 }
 
 
@@ -273,8 +316,14 @@ def test_lower_bound_constant_frozen(key):
     t0 = 0.5 / (1.0 + np.sqrt(nu))
     ts = np.logspace(np.log10(t0) - 3.0, np.log10(t0), 60)
     c_fit = min(delta0(float(t), params) / (nu * t ** 3) for t in ts)
-    assert 0.05 < c_fit <= 1.0 / 12.0 * (1.0 + 1e-9)
-    assert abs(c_fit - FROZEN_C_FIT[key]) < 1e-4
+    exact = min(_delta0_mpmath(float(t), nu, alpha) / (nu * float(t) ** 3)
+                for t in ts)
+    assert float(abs(c_fit / exact - 1.0)) <= 1e-11
+    if alpha == 0.0:
+        assert 0.05 < c_fit < 1.0 / 12.0
+    else:
+        assert 1.0 / 12.0 < c_fit <= 1.0 / 12.0 * (1.0 + 1e-7)
+    assert abs(c_fit - FROZEN_C_FIT[key]) < 1e-6
 
 
 class TestDecayEnvelope:

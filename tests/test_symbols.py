@@ -1,13 +1,19 @@
 """Model parameters, Hamilton maps, and the closed flow factorizations."""
 
+import math
+
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg
 
 from kfpq.symbols import (ModelParams, NonSymmetricInput, PotentialSpec,
-                          constants, generator_hessian, hamilton_basis,
-                          hamilton_map, kappa, kappa0, oscillator_p_hessian,
-                          rotated_oscillator_hessian, transport_hessian)
+                          _flow_factors, constants, generator_hessian,
+                          hamilton_basis, hamilton_map, kappa, kappa0,
+                          oscillator_p_hessian, rotated_oscillator_hessian,
+                          transport_hessian)
+
+EPS = np.finfo(float).eps
 
 ALPHAS = (0.0, np.pi / 2)
 
@@ -151,6 +157,58 @@ def test_flow_factors_series_seam():
     mid_lo = kappa(t_star * (1 - 1e-12), params).matrix
     mid_hi = kappa(t_star * (1 + 1e-12), params).matrix
     assert np.max(np.abs(mid_hi - mid_lo)) < 1e-10
+
+
+def _flow_factors_mpmath(t, n1sq):
+    """cosh(t n1 / 2) and sinh(t n1 / 2) / n1 at 50 digits."""
+    with mpmath.workdps(50):
+        t = mpmath.mpf(t)
+        if n1sq == 0:
+            return mpmath.mpf(1), t / 2
+        n1 = mpmath.sqrt(mpmath.mpc(n1sq))
+        return mpmath.cosh(t * n1 / 2), mpmath.sinh(t * n1 / 2) / n1
+
+
+def _series_switch(n1sq):
+    """Adjacent floats t_lo < t_hi on the two sides of |theta^2| = 1e-8."""
+    def series(t):
+        return abs(0.25 * t * t * complex(n1sq)) < 1e-8
+
+    t = 2e-4 / math.sqrt(abs(n1sq))
+    while series(t):
+        t = math.nextafter(t, math.inf)
+    while not series(t):
+        t = math.nextafter(t, 0.0)
+    return t, math.nextafter(t, math.inf)
+
+
+# n1sq = 1 + 4 nu cos(2 alpha): attracting nu = 1000, 1 and 1/4 + 1e-12 /
+# 4, then nu = 1/4 - 1e-12 / 4 and repelling nu = 1/2 and 1000
+@pytest.mark.parametrize("n1sq", [-3999.0, -3.0, -1e-12, 1e-12, 3.0, 4001.0])
+def test_flow_factors_against_mpmath_across_series_switch(n1sq):
+    t_lo, t_hi = _series_switch(n1sq)
+    assert abs(0.25 * t_lo * t_lo * n1sq) < 1e-8 <= abs(0.25 * t_hi * t_hi
+                                                         * n1sq)
+    # both sides of the switch, near it and away from it
+    for t in (0.25 * t_lo, 0.9 * t_lo, t_lo, t_hi, 1.1 * t_hi, 4.0 * t_hi):
+        exact = _flow_factors_mpmath(t, n1sq)
+        for got, ref in zip(_flow_factors(t, n1sq), exact):
+            assert float(abs(got - ref) / abs(ref)) <= 4 * EPS
+    # continuity: one ulp of t apart, the two branches agree to rounding
+    for lo, hi in zip(_flow_factors(t_lo, n1sq), _flow_factors(t_hi, n1sq)):
+        assert abs(hi - lo) <= 4 * EPS * abs(lo)
+
+
+def test_flow_factors_at_critical_curvature():
+    # nu = 1/4 on the attracting side: n1sq = 0 exactly, so C = 1 and
+    # S = t / 2 at every t, on the series branch
+    params = ModelParams(nu=0.25, alpha=np.pi / 2)
+    assert params.n1sq == 0.0
+    for t in (1e-6, 0.05, 1.0, 3.0, 100.0):
+        c, s = _flow_factors(t, params.n1sq)
+        assert c == 1.0 and s == t / 2
+        exact = _flow_factors_mpmath(t, 0.0)
+        assert (c, s) == (float(exact[0]), float(exact[1]))
 
 
 @pytest.mark.parametrize("alpha", ALPHAS)
