@@ -16,12 +16,15 @@ exponentials; see ``semigroup_norm``.
 ``resolvent_bound`` and ``optimality_witness`` import ``scipy.integrate``
 when called, not at load: it pulls in ``scipy.optimize``, ``scipy.special``
 and ``scipy.fft``, and commands that never integrate should not pay their
-start-up time and memory.
+start-up time and memory.  Their integrands run on Python floats with
+``math``, as ``quad`` calls them one point at a time; a numpy scalar call
+costs several times more there.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -157,11 +160,11 @@ def resolvent_bound(nu: float) -> ResolventBound:
 
     if nu < 10:
         raise ValueError("resolvent scaling is studied for nu >= 10")
-    n1 = np.sqrt(1.0 + 4.0 * nu)
+    n1 = math.sqrt(1.0 + 4.0 * nu)
 
     def integrand(t):
-        s_val = np.sinh(0.5 * t * n1) / n1
-        return 1.0 / (s_val + np.hypot(1.0, s_val))
+        s_val = math.sinh(0.5 * t * n1) / n1
+        return 1.0 / (s_val + math.hypot(1.0, s_val))
 
     t_cut = 2.0 * np.log(1e18) / n1
     value, err = integrate.quad(integrand, 0.0, t_cut, limit=400,
@@ -197,7 +200,8 @@ def optimality_witness(nu: float) -> OptimalityWitness:
     u_lower = 2.0 * np.arctan(np.tanh(0.5)) / big_l
 
     def integrand(s):
-        return 0.5 * np.exp(2.0 * s) * np.sqrt((1.0 + np.exp(-8.0 * s)) / 2.0)
+        return (0.5 * math.exp(2.0 * s)
+                * math.sqrt((1.0 + math.exp(-8.0 * s)) / 2.0))
 
     value, err = integrate.quad(integrand, 0.0, big_l, limit=200,
                                 epsabs=1e-12, epsrel=1e-12)
@@ -410,11 +414,15 @@ def _witness_tables(nu: float, n: int, grid: WitnessGrid, rule):
 
     diag = np.linspace(-2.0 * extent, 2.0 * extent, 2 * n - 1)
     quarter_sq = 0.25 * diag * diag
-    f_exponent = np.multiply.outer(-quarter_sq, np.exp(2.0 * s_vals))
-    f_tab = np.zeros_like(f_exponent)
-    np.exp(f_exponent, out=f_tab, where=f_exponent >= _EXP_UNDERFLOW)
-    del f_exponent
-    g_tab = np.exp(-np.multiply.outer(quarter_sq, np.exp(-2.0 * s_vals)))
+    # each table is its exponent array, exponentiated in place
+    f_tab = np.multiply.outer(-quarter_sq, np.exp(2.0 * s_vals))
+    underflow = f_tab < _EXP_UNDERFLOW
+    np.exp(f_tab, out=f_tab, where=~underflow)
+    f_tab[underflow] = 0.0
+    del underflow
+    g_tab = np.multiply.outer(quarter_sq, np.exp(-2.0 * s_vals))
+    np.negative(g_tab, out=g_tab)
+    np.exp(g_tab, out=g_tab)
     f_tab *= s_weights / (big_l * np.sqrt(np.pi))
     return xs, f_tab, g_tab
 
@@ -485,8 +493,13 @@ def _d4(f, h: float, axis: int):
         index[axis] = slice(2 + k, size - 2 + k)
         return f[tuple(index)]
 
-    return (shifted(-2) - shifted(2)
-            + 8 * (shifted(1) - shifted(-1))) / (12.0 * h)
+    # (f[-2] - f[2] + 8 (f[1] - f[-1])) / 12h, in two arrays
+    out = shifted(-2) - shifted(2)
+    inner = shifted(1) - shifted(-1)
+    inner *= 8
+    out += inner
+    out /= 12.0 * h
+    return out
 
 
 def _witness_on_grid(nu: float, xs, rows, bound):
@@ -531,12 +544,16 @@ def _witness_on_grid(nu: float, xs, rows, bound):
         u = rows(i0 - 2, i1 + 2, c0, c1)
         p_row = xs[c0 + 4:c1 - 4]
         mid = u[2:-2]
-        du_q = _d4(u[:, 4:-4], h, 0)
+        core = mid[:, 4:-4]
         du_p = _d4(mid, h, 1)
         d2u_p = _d4(du_p, h, 1)
-        core = mid[:, 4:-4]
         op_u = 0.5 * (p_row * p_row * core - d2u_p)
-        x0_u = p_row * du_q + xs[i0:i1, None] * du_p[:, 2:-2]
+        del d2u_p
+        du_q = _d4(u[:, 4:-4], h, 0)
+        x0_u = p_row * du_q
+        del du_q
+        x0_u += xs[i0:i1, None] * du_p[:, 2:-2]
+        del du_p
         # einsum, not a BLAS dot: a threaded dot splits its sum by the
         # thread count, and the report must not depend on it
         return np.array([np.einsum("ij,ij->", core, core),
@@ -571,22 +588,37 @@ def witness_rayleigh_numeric(nu: float,
     reach eps^2 of its peak; u is below that off a hyperbolic cross around
     q = -p.  At nu = e^9 the strips fill 29% of the half grid at n = 1201
     and 26% at n = 1801, and the skipped columns move no sum by more than
-    about eps^2 relative (see ``_witness_on_grid``).  The grid is then
+    about eps^2 relative (see ``_witness_on_grid``).  The grid is also
     refined by ``refine_factor``; a relative change above ``drift_tol``
     raises GridUnderResolved.
+
+    The two grids are evaluated at the same time: the coarse one on a
+    worker thread and the refined one, the larger, on the calling thread,
+    which holds the peak RSS lower than a second worker does.  Their
+    matrix products and elementwise kernels release the GIL.  Each grid
+    runs sequentially in its own thread, so every sum keeps its order and
+    the result is the same, bit for bit, as evaluating the grids one after
+    the other, on one CPU or on several.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if nu <= np.exp(8.0):
         raise ValueError("witness regime needs log(nu)/4 > 2")
     if grid is None:
         grid = WitnessGrid()
     rule = np.polynomial.legendre.leggauss(grid.s_nodes)
-    coarse_q, usq, x0sq, opsq = _witness_on_grid(
-        nu, *_witness_field(nu, grid.n, grid, rule))
     n_fine = int(round(grid.n * grid.refine_factor))
     if n_fine % 2 == 0:
         n_fine += 1
-    fine_q, *_ = _witness_on_grid(nu, *_witness_field(nu, n_fine, grid,
-                                                       rule))
+
+    def on_grid(n: int):
+        return _witness_on_grid(nu, *_witness_field(nu, n, grid, rule))
+
+    # leaving the with block joins the worker, also when on_grid raises
+    with ThreadPoolExecutor(1) as pool:
+        coarse = pool.submit(on_grid, grid.n)
+        fine_q, *_ = on_grid(n_fine)
+        coarse_q, usq, x0sq, opsq = coarse.result()
     drift = abs(fine_q / coarse_q - 1.0)
     if drift > grid.drift_tol:
         raise GridUnderResolved(

@@ -38,7 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kfpq.biquat import Biquaternion, _cdiv, _cosh_sinh, _exp
+from kfpq.biquat import (Biquaternion, NonFiniteBiquaternion, _cdiv,
+                         _cosh_sinh, _exp)
 from kfpq.symbols import ModelParams, _flow_factors, hamilton_basis
 
 __all__ = [
@@ -56,6 +57,10 @@ __all__ = [
 
 _IMAG_TOL = 1e-10
 _EPSILON0 = 0.5
+# Past this t n1 (n1 real) ``delta0`` takes its ratio from A and X scaled by
+# e^{-t n1}: unscaled, X ~ e^{t n1} / (2 n1) overflows near
+# t n1 = 709.8 + log(2 n1), a little before A ~ e^{t n1} / (2 n1^2) does.
+_SCALED_SWITCH = 700.0
 
 
 class NonRealDelta0(ArithmeticError):
@@ -153,7 +158,15 @@ def _form_difference(t: float, params: ModelParams, sign: int):
     each evaluation costs the weight side's coefficients and one
     ``Biquaternion``, the difference itself.
     """
-    evolved = evolved_flow_form(t, params, sign)
+    # past the flow factors' double range the evolved side overflows: that
+    # is reported as the determinant it leaves non-finite, naming t, and
+    # without numpy's overflow warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            evolved = evolved_flow_form(t, params, sign)
+        except NonFiniteBiquaternion as exc:
+            raise NonFiniteDeterminant("evolved form at t=%g: %s"
+                                       % (t, exc)) from None
     growth = np.exp(sign * t)
     alpha = params.alpha
     # the weight side has no c and d, so these are fixed by t
@@ -204,14 +217,15 @@ def positivity_report(t: float, delta: float, params: ModelParams,
 # the closed threshold
 
 
-def _bracket(t: float, n1sq: float) -> complex:
+def _bracket(t: float, n1sq: float, s: complex | None = None) -> complex:
     """2 S^2 - (cosh t - 1), series-protected against cancellation.
 
     The two terms agree through order t^2, so for |t n1| < 1/2 the closed
     difference is evaluated as the tail series
     sum_{k>=2} t^{2k} (n1sq^{k-1} - 1) / (2k)! instead.  Above the switch
     cosh t - 1 is taken as 2 sinh^2(t/2), which keeps its relative accuracy
-    where t is small and |n1| large.
+    where t is small and |n1| large, and S is s if the caller has it from
+    ``_flow_factors``, else evaluated here.
     """
     if abs(t) * math.sqrt(abs(n1sq)) < 0.5:
         total = 0j
@@ -229,8 +243,31 @@ def _bracket(t: float, n1sq: float) -> complex:
             fact *= (2 * k - 1) * (2 * k)
             pw *= n1sq
         return total
-    c, s = _flow_factors(t, n1sq)
+    if s is None:
+        s = _flow_factors(t, n1sq)[1]
     return 2 * s * s - 2.0 * np.sinh(0.5 * t) ** 2
+
+
+def _scaled_ratio(t: float, n1: float) -> float:
+    """2 A / (X - A) of ``delta0`` for real n1 > 0, with A and X scaled by
+    e^{-t n1}.
+
+    With E = e^{-t n1} the scaled factors are C e^{-t n1/2} = (1 + E) / 2,
+    S e^{-t n1/2} = (1 - E) / (2 n1),
+    sinh(t/2) e^{-t n1/2} = (e^{t (1-n1)/2} - e^{-t (1+n1)/2}) / 2 and
+    sinh(t) e^{-t n1} = (e^{t (1-n1)} - e^{-t (1+n1)}) / 2, none of which
+    overflows for n1 >= 1 however large t n1 is.  Past ``_SCALED_SWITCH``
+    E is below e^{-700}, and the ratio is 2 / (n1 - 1) to rounding at
+    large n1.
+    """
+    e = np.exp(-t * n1)
+    c = 0.5 * (1.0 + e)
+    s = 0.5 * (1.0 - e) / n1
+    half = 0.5 * (np.exp(0.5 * t * (1.0 - n1)) - np.exp(-0.5 * t * (1.0 + n1)))
+    sinh_t = 0.5 * (np.exp(t * (1.0 - n1)) - np.exp(-t * (1.0 + n1)))
+    a = 2.0 * s * s - 2.0 * half * half
+    x = 2.0 * c * s + sinh_t
+    return float(2.0 * a / (x - a))
 
 
 def _log1p(z: complex) -> complex:
@@ -255,7 +292,10 @@ def delta0(t: float, params: ModelParams) -> float:
     the accurate log1p of ``_log1p`` keep the small-t cubic regime
     delta0 ~ nu t^3 / 12: over nu in {1e-3, 0.5, 4, 1e4}, both angles and
     t in [1e-8, 3] the value is within 1.4e-12 of a 60-digit evaluation of
-    the same formula.
+    the same formula.  For real n1 with t n1 past ``_SCALED_SWITCH`` the
+    ratio 2 A / (X - A) is formed from A and X scaled by e^{-t n1}
+    (``_scaled_ratio``), where unscaled X would overflow; the threshold
+    then tends to log((n1 + 1) / (n1 - 1)) / 2.
 
     Raises NonRealDelta0 if the closed expression is not finite or if its
     imaginary part exceeds ``_IMAG_TOL`` relative to the real part.
@@ -265,11 +305,15 @@ def delta0(t: float, params: ModelParams) -> float:
     n1sq = params.n1sq
     # an overflow leaves a non-finite value, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
-        c, s = _flow_factors(t, n1sq)
-        a = _bracket(t, n1sq)
-        # the real sinh stays numpy's: libm's rounds differently
-        x = 2 * c * s + np.sinh(t)
-        val = _exp(-2j * params.alpha) / 2 * _log1p(_cdiv(2 * a, x - a))
+        if n1sq > 0.0 and t * math.sqrt(n1sq) > _SCALED_SWITCH:
+            ratio = complex(_scaled_ratio(t, math.sqrt(n1sq)))
+        else:
+            c, s = _flow_factors(t, n1sq)
+            a = _bracket(t, n1sq, s)
+            # the real sinh stays numpy's: libm's rounds differently
+            x = 2 * c * s + np.sinh(t)
+            ratio = _cdiv(2 * a, x - a)
+        val = _exp(-2j * params.alpha) / 2 * _log1p(ratio)
     if not cmath.isfinite(val):
         raise NonRealDelta0("threshold is %r at t=%g" % (val, t))
     scale = max(1.0, abs(val.real))

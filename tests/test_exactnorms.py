@@ -1,9 +1,12 @@
 """Exact repelling-side norms, the resolvent integral, and the witness."""
 
+import threading
+
 import mpmath
 import numpy as np
 import pytest
 
+from kfpq import exactnorms
 from kfpq.acceptance import sweep_norms
 from kfpq.exactnorms import (_LOG_SWITCH, _STRIP_ROWS, _TILE_COLS,
                              GridUnderResolved, WitnessGrid, _support_window,
@@ -507,3 +510,79 @@ class TestWitnessNumeric:
         nu = float(np.exp(9.0))
         with pytest.raises(GridUnderResolved):
             witness_rayleigh_numeric(nu, grid=WitnessGrid(n=151, s_nodes=24))
+
+
+def test_d4_in_place_matches_the_stencil_bit_for_bit():
+    f = np.random.default_rng(0).standard_normal((41, 37))
+    h = 0.0137
+    ref = (f[:-4] - f[4:] + 8 * (f[3:-1] - f[1:-3])) / (12.0 * h)
+    assert exactnorms._d4(f, h, 0).tobytes() == ref.tobytes()
+    assert exactnorms._d4(f.T, h, 1).tobytes() == ref.T.copy().tobytes()
+
+
+def _serial_witness(nu, grid):
+    """The coarse grid, then the refined one, on the calling thread alone."""
+    rule = _rule(grid)
+    coarse = _witness_on_grid(nu, *_witness_field(nu, grid.n, grid, rule))
+    n_fine = int(round(grid.n * grid.refine_factor))
+    if n_fine % 2 == 0:
+        n_fine += 1
+    fine = _witness_on_grid(nu, *_witness_field(nu, n_fine, grid, rule))
+    return coarse, fine
+
+
+class TestConcurrentGrids:
+    @pytest.mark.parametrize("grid", [WitnessGrid(),
+                                      WitnessGrid(n=601, s_nodes=32)],
+                             ids=["default", "small"])
+    def test_matches_serial_grids_bit_for_bit(self, grid):
+        nu = float(np.exp(9.0))
+        got = witness_rayleigh_numeric(nu, grid)
+        (coarse_q, usq, x0sq, opsq), (fine_q, *_) = _serial_witness(nu, grid)
+        assert got.quotient == fine_q
+        assert got.coarse_quotient == coarse_q
+        assert got.drift == abs(fine_q / coarse_q - 1.0)
+        assert (got.u_norm_sq, got.x0_norm_sq, got.op_norm_sq) == (usq, x0sq,
+                                                                   opsq)
+
+    def test_coarse_grid_on_a_worker_fine_grid_on_the_caller(
+            self, monkeypatch):
+        seen = []
+
+        def recording(nu, xs, rows, bound):
+            seen.append((xs.size, threading.get_ident()))
+            return _witness_on_grid(nu, xs, rows, bound)
+
+        monkeypatch.setattr(exactnorms, "_witness_on_grid", recording)
+        before = threading.active_count()
+        witness_rayleigh_numeric(float(np.exp(9.0)),
+                                 WitnessGrid(n=601, s_nodes=32))
+        assert threading.active_count() == before
+        owners = dict(seen)
+        assert len(seen) == 2 and sorted(owners) == [601, 903]
+        assert owners[903] == threading.get_ident()
+        assert owners[601] != threading.get_ident()
+
+    def test_drift_above_tolerance_raises_and_joins_the_worker(self):
+        nu = float(np.exp(9.0))
+        grid = WitnessGrid(n=601, s_nodes=32, drift_tol=1e-9)
+        before = threading.active_count()
+        with pytest.raises(GridUnderResolved, match="above 1e-09"):
+            witness_rayleigh_numeric(nu, grid)
+        assert threading.active_count() == before
+
+    def test_worker_error_comes_out_and_the_worker_is_joined(
+            self, monkeypatch):
+        caller = threading.get_ident()
+
+        def failing(nu, xs, rows, bound):
+            if threading.get_ident() != caller:
+                raise MemoryError("coarse grid")
+            return _witness_on_grid(nu, xs, rows, bound)
+
+        monkeypatch.setattr(exactnorms, "_witness_on_grid", failing)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="coarse grid"):
+            witness_rayleigh_numeric(float(np.exp(9.0)),
+                                     WitnessGrid(n=601, s_nodes=32))
+        assert threading.active_count() == before

@@ -7,14 +7,15 @@ import numpy as np
 import pytest
 import scipy.optimize
 
-from kfpq import acceptance
+from kfpq import acceptance, positivity
 from kfpq.biquat import Biquaternion
 from kfpq.positivity import (NonFiniteDeterminant, NonRealDelta0, _bracket,
                              _checked_determinant, _form_difference, _report,
                              delta0, evolved_flow_form, hermitian_difference,
                              position_flow_form, position_weight_decay_bound,
                              positivity_report)
-from kfpq.symbols import ModelParams, hamilton_basis, kappa, kappa0
+from kfpq.symbols import (ModelParams, _flow_factors, hamilton_basis, kappa,
+                          kappa0)
 
 ALPHAS = (0.0, np.pi / 2)
 
@@ -145,10 +146,33 @@ def test_root_find_reads_the_report_determinant(nu, alpha, monkeypatch):
 
 
 def test_non_finite_threshold_raises():
-    # at nu = 1e6, t = 3 the closed form's x - a is inf - inf
+    # at nu = 1, alpha = pi/2, t = 800 sinh t and sinh^2(t/2) overflow, so
+    # a = -inf, x = inf and 2a / (x - a) is nan
     with np.errstate(all="ignore"):
-        with pytest.raises(NonRealDelta0, match="t=3"):
-            delta0(3.0, ModelParams(nu=1e6, alpha=0.0))
+        with pytest.raises(NonRealDelta0, match="t=800"):
+            delta0(800.0, ModelParams(nu=1.0, alpha=np.pi / 2))
+
+
+def test_flow_factors_evaluated_once_per_threshold(monkeypatch):
+    calls = []
+
+    def counting(t, n1sq):
+        calls.append(t)
+        return _flow_factors(t, n1sq)
+
+    monkeypatch.setattr(positivity, "_flow_factors", counting)
+    for nu in (1.0, 100.0):
+        for alpha in ALPHAS:
+            params = ModelParams(nu=nu, alpha=alpha)
+            # the series and the closed branch of _bracket
+            for t in (0.01, 0.05, 1.0, 3.0):
+                calls.clear()
+                delta0(t, params)
+                assert calls == [t]
+    # past the overflow switch the scaled ratio needs no flow factors
+    calls.clear()
+    delta0(4.0, ModelParams(nu=1e4, alpha=0.0))
+    assert calls == []
 
 
 @pytest.mark.parametrize("sign", [1, -1])
@@ -278,6 +302,36 @@ def test_threshold_against_mpmath_down_to_small_t(nu, alpha):
         exact = _delta0_mpmath(float(t), nu, alpha)
         got = delta0(float(t), params)
         assert float(abs(got - exact) / exact) <= 5e-12
+
+
+@pytest.mark.parametrize("nu, t", [(1e4, 3.49), (1e4, 3.55), (1e4, 3.6),
+                                   (1e4, 4.0), (1e4, 10.0), (1e6, 3.0)])
+def test_threshold_against_mpmath_past_the_overflow(nu, t):
+    # unscaled, x = 2 c s + sinh t overflows near t n1 = 715.8 at nu = 1e4
+    # while a stays finite, which read 0.0 at t = 3.6, and at t = 4 and at
+    # nu = 1e6, t = 3 both overflow to nan; t n1 = 698 and 710 at the first
+    # two points, either side of the scaled ratio's switch at 700
+    exact = _delta0_mpmath(t, nu, 0.0)
+    got = delta0(t, ModelParams(nu=nu, alpha=0.0))
+    assert float(abs(got - exact) / exact) <= 1.4e-12
+
+
+def test_threshold_continuous_across_the_scaled_switch():
+    nu = 1e4
+    params = ModelParams(nu=nu, alpha=0.0)
+    n1 = math.sqrt(params.n1sq)
+    seam = positivity._SCALED_SWITCH / n1
+    below = float(np.nextafter(seam, 0.0))
+    above = float(np.nextafter(seam, np.inf))
+    for t in (below, seam, above):
+        exact = _delta0_mpmath(t, nu, 0.0)
+        assert float(abs(delta0(t, params) - exact) / exact) <= 1.4e-12
+    # the limit of the threshold as t grows: log((n1 + 1) / (n1 - 1)) / 2
+    with mpmath.workdps(50):
+        n1_mp = mpmath.sqrt(1 + 4 * mpmath.mpf(nu))
+        limit = mpmath.log((n1_mp + 1) / (n1_mp - 1)) / 2
+    for t in (1e3, 1e300, math.inf):
+        assert float(abs(delta0(t, params) / limit - 1)) <= 1.4e-12
 
 
 def test_decay_envelope_at_small_t():
