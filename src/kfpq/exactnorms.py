@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -600,8 +601,6 @@ def witness_rayleigh_numeric(nu: float,
     the result is the same, bit for bit, as evaluating the grids one after
     the other, on one CPU or on several.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
     if nu <= np.exp(8.0):
         raise ValueError("witness regime needs log(nu)/4 > 2")
     if grid is None:
