@@ -23,6 +23,7 @@ costs several times more there.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -449,6 +450,11 @@ def _witness_field(nu: float, n: int, grid: WitnessGrid, rule):
     i0-j+n-1 .. i1-j+n-2, and at a* and b*, the indices of those ranges
     nearest n - 1, each table takes its largest value.  Hence every row of
     column j has u[i, j] <= sum_s F_s[a*] G_s[b*] = bound(i0, i1)[j].
+    Along j, a* = clip(n - 1, i0 + j, i1 - 1 + j) and
+    b* = clip(n - 1, i0 - j + n - 1, i1 - j + n - 2) each run up, run down
+    or stay at n - 1 between the cuts j = n - i1, n - i0, i0 and i1, so
+    bound reads the tables as at most five pairs of slices
+    (``_clipped_rows``), not as n gathered rows each.
     """
     xs, f_tab, g_tab = _witness_tables(nu, n, grid, rule)
 
@@ -460,14 +466,37 @@ def _witness_field(nu: float, n: int, grid: WitnessGrid, rule):
                        g_tab[i0 - t1 + n:i1 - t0 + n - 1])
         return u
 
-    cols = np.arange(n)
-
     def bound(i0: int, i1: int):
-        a_star = np.clip(n - 1, i0 + cols, i1 - 1 + cols)
-        b_star = np.clip(n - 1, i0 - cols + n - 1, i1 - cols + n - 2)
-        return np.einsum("js,js->j", f_tab[a_star], g_tab[b_star])
+        # a* and b* switch branch at j = n - i1, n - i0 and at j = i0, i1
+        cuts = sorted({0, n} | {min(max(c, 0), n)
+                                for c in (n - i1, n - i0, i0, i1)})
+        out = np.empty(n)
+        for j0, j1 in zip(cuts, cuts[1:]):
+            out[j0:j1] = np.einsum(
+                "js,js->j", _clipped_rows(f_tab, i0, i1 - 1, 1, j0, j1),
+                _clipped_rows(g_tab, i0 + n - 1, i1 + n - 2, -1, j0, j1))
+        return out
 
     return xs, rows, bound
+
+
+def _clipped_rows(tab, lo: int, hi: int, step: int, j0: int, j1: int):
+    """Rows clip(c, lo + step j, hi + step j) of tab for j0 <= j < j1, c
+    its middle row, as a view: contiguous, reversed or one row broadcast.
+
+    lo <= hi, and the caller cuts [j0, j1) where the clip changes branch,
+    so one branch holds over the whole range.
+    """
+    mid = len(tab) // 2
+    if hi + step * j0 < mid:
+        base = hi
+    elif lo + step * j0 > mid:
+        base = lo
+    else:
+        return np.broadcast_to(tab[mid], (j1 - j0, tab.shape[1]))
+    if step > 0:
+        return tab[base + j0:base + j1]
+    return tab[base - j1 + 1:base - j0 + 1][::-1]
 
 
 def _support_window(bound, floor: float):
@@ -503,17 +532,20 @@ def _d4(f, h: float, axis: int):
     return out
 
 
-def _witness_on_grid(nu: float, xs, rows, bound):
-    """Witness quotient and squared norms from the field rows on xs x xs.
+def _strip_plan(xs, rows, bound) -> list:
+    """The strip jobs of the witness on xs x xs, in their serial order.
 
-    rows and bound come from ``_witness_field``.  The generator is applied
-    with fourth-order central differences, and the squared norms are summed
-    over the interior that stays four nodes clear of the grid margin.  The
-    interior is walked in strips of ``_STRIP_ROWS`` rows, each read with the
-    two-row halo the q-derivative needs.  u(-q, -p) = u(q, p) and every
-    summand is even, so only the rows below the middle are summed and
-    doubled, and the middle row of an odd grid is added once.
-    ||K u||^2 = ||O_p u||^2 + 2 sqrt(nu) <O_p u, X0 u> + nu ||X0 u||^2.
+    rows and bound come from ``_witness_field``.  Each job is a call with
+    no arguments that returns the four sums ||u||^2, ||X0 u||^2, ||O_p u||^2
+    and <O_p u, X0 u> of its strip, without the h^2 area factor; the jobs
+    share no state, so they may run in any order on any thread.  The
+    generator is applied with fourth-order central differences, and the
+    squared norms are summed over the interior that stays four nodes clear
+    of the grid margin.  The interior is walked in strips of
+    ``_STRIP_ROWS`` rows, each read with the two-row halo the q-derivative
+    needs.  u(-q, -p) = u(q, p) and every summand is even, so only the rows
+    below the middle are planned, and the middle row of an odd grid comes
+    last as a strip of its own (see ``_witness_sums``).
 
     Each strip fills and differences only the columns of its support
     window (``_support_window``).  With u0 the largest field value on the
@@ -534,7 +566,7 @@ def _witness_on_grid(nu: float, xs, rows, bound):
     h = xs[1] - xs[0]
     half = n // 2
     # u0 sits on q = -p at the node nearest the origin: u's largest value on
-    # the grid, in a row that the sums below count
+    # the grid, in a row that the sums count
     u0 = rows(half, half + 1, n - 1 - half, n - half)[0, 0]
     floor = np.finfo(float).eps ** 2 * u0
 
@@ -562,12 +594,31 @@ def _witness_on_grid(nu: float, xs, rows, bound):
                          np.einsum("ij,ij->", op_u, op_u),
                          np.einsum("ij,ij->", op_u, x0_u)])
 
+    strips = [(i0, min(i0 + _STRIP_ROWS, half))
+              for i0 in range(4, half, _STRIP_ROWS)]
+    if n % 2:
+        strips.append((half, half + 1))
+    return [functools.partial(strip_sums, i0, i1) for i0, i1 in strips]
+
+
+def _witness_sums(nu: float, xs, strip_sums: list):
+    """Witness quotient and squared norms from the sums of the jobs of
+    ``_strip_plan(xs, ...)``, given in plan order.
+
+    The half-grid strips are added in order and doubled, and the middle
+    row of an odd grid is added once, so the result does not depend on
+    where or in which order the jobs ran.
+    ||K u||^2 = ||O_p u||^2 + 2 sqrt(nu) <O_p u, X0 u> + nu ||X0 u||^2.
+    """
+    n = xs.size
+    h = xs[1] - xs[0]
+    halves = strip_sums[:-1] if n % 2 else strip_sums
     sums = np.zeros(4)
-    for i0 in range(4, half, _STRIP_ROWS):
-        sums += strip_sums(i0, min(i0 + _STRIP_ROWS, half))
+    for strip in halves:
+        sums += strip
     sums *= 2.0
     if n % 2:
-        sums += strip_sums(half, half + 1)
+        sums += strip_sums[-1]
     usq, x0sq, opsq, op_x0 = (float(v) for v in sums * (h * h))
     ksq = opsq + 2.0 * float(np.sqrt(nu)) * op_x0 + nu * x0sq
     return ksq / usq, usq, x0sq, opsq
@@ -584,22 +635,26 @@ def witness_rayleigh_numeric(nu: float,
     is a contraction over s of two exponential tables on the 2n - 1 grid
     diagonals, not s_nodes exponentials over the full grid.  The contraction
     and the differences stream over row strips of one symmetric half of the
-    grid, so memory stays at a few strips whatever n is.  Each strip covers
-    only the columns where a bound read off the two tables lets the field
-    reach eps^2 of its peak; u is below that off a hyperbolic cross around
-    q = -p.  At nu = e^9 the strips fill 29% of the half grid at n = 1201
-    and 26% at n = 1801, and the skipped columns move no sum by more than
-    about eps^2 relative (see ``_witness_on_grid``).  The grid is also
-    refined by ``refine_factor``; a relative change above ``drift_tol``
-    raises GridUnderResolved.
+    grid, so memory stays at the tables and two strips whatever n is.  Each
+    strip covers only the columns where a bound read off the two tables
+    lets the field reach eps^2 of its peak; u is below that off a
+    hyperbolic cross around q = -p.  At nu = e^9 the strips fill 29% of the
+    half grid at n = 1201 and 26% at n = 1801, and the skipped columns move
+    no sum by more than about eps^2 relative (see ``_strip_plan``).  The
+    grid is also refined by ``refine_factor``; a relative change above
+    ``drift_tol`` raises GridUnderResolved.
 
-    The two grids are evaluated at the same time: the coarse one on a
-    worker thread and the refined one, the larger, on the calling thread,
-    which holds the peak RSS lower than a second worker does.  Their
-    matrix products and elementwise kernels release the GIL.  Each grid
-    runs sequentially in its own thread, so every sum keeps its order and
-    the result is the same, bit for bit, as evaluating the grids one after
-    the other, on one CPU or on several.
+    Both grids share the two threads of the call: the coarse grid's tables
+    are built on a worker thread while the calling thread builds the
+    refined grid's, and then both threads take strips from one shared
+    queue, the refined grid's first, each grid's in its serial order, until
+    it is empty.  Their matrix products and elementwise kernels release the
+    GIL.  Each strip is summed by one thread alone, and each grid's strip
+    sums are added in serial order once both threads are done (see
+    ``_witness_sums``), so the result is the same, bit for bit, as
+    evaluating the grids one after the other, on one CPU or on several.  A
+    strip that raises empties the queue, so the other thread stops after
+    its current strip.
     """
     if nu <= np.exp(8.0):
         raise ValueError("witness regime needs log(nu)/4 > 2")
@@ -610,14 +665,37 @@ def witness_rayleigh_numeric(nu: float,
     if n_fine % 2 == 0:
         n_fine += 1
 
-    def on_grid(n: int):
-        return _witness_on_grid(nu, *_witness_field(nu, n, grid, rule))
+    def plan(n: int):
+        xs, rows, bound = _witness_field(nu, n, grid, rule)
+        return xs, _strip_plan(xs, rows, bound)
 
-    # leaving the with block joins the worker, also when on_grid raises
+    # leaving the with block joins the worker, also when a job raises
     with ThreadPoolExecutor(1) as pool:
-        coarse = pool.submit(on_grid, grid.n)
-        fine_q, *_ = on_grid(n_fine)
-        coarse_q, usq, x0sq, opsq = coarse.result()
+        coarse = pool.submit(plan, grid.n)
+        fine_xs, fine_jobs = plan(n_fine)
+        coarse_xs, coarse_jobs = coarse.result()
+        jobs = fine_jobs + coarse_jobs
+        sums = [None] * len(jobs)
+        queue = collections.deque(enumerate(jobs))
+
+        def drain():
+            while True:
+                try:
+                    k, job = queue.popleft()
+                except IndexError:
+                    return
+                try:
+                    sums[k] = job()
+                except BaseException:
+                    queue.clear()
+                    raise
+
+        worker = pool.submit(drain)
+        drain()
+        worker.result()
+    fine_q, *_ = _witness_sums(nu, fine_xs, sums[:len(fine_jobs)])
+    coarse_q, usq, x0sq, opsq = _witness_sums(nu, coarse_xs,
+                                              sums[len(fine_jobs):])
     drift = abs(fine_q / coarse_q - 1.0)
     if drift > grid.drift_tol:
         raise GridUnderResolved(

@@ -12,9 +12,11 @@ Gram matrix of each small degenerate fiber that a Schatten-4 bound leaves
 in the running for the sup, taken in a real gauge (see
 ``_fiber_matrix_sups``).  Agreement between these numbers and the closed
 forms is the main cross-check of the package.
-The subelliptic pencil is assembled sparse from the same operators, cut
-into one dense block per parity of m + n in one pass over its stored
-entries, and solved densely on each (see ``subelliptic_constant``).
+The two forms of the subelliptic pencil are assembled the same way, on
+the truncation's interior, from short tables of Gram terms of the
+one-variable factors, so they come out exactly symmetric; each is cut into
+one dense block per parity of m + n in one pass over its stored entries,
+and the pencil is solved densely on each (see ``subelliptic_constant``).
 
 The generator K conserves a Hermite level: attracting transport
 a_q a_p^* - a_q^* a_p keeps L = m + n, repelling transport
@@ -174,14 +176,12 @@ def build(label: str, params: ModelParams, dim_q: int,
 
     Each operator is a short table of (q-factor, p-factor, coefficient)
     terms on the one-variable ladder matrices; attracting transport, for
-    one, is ``kron(d_q, p) - kron(q, d_p)``.  Each term is formed from the
-    nonzeros of its two factors by index arithmetic, the nonzero (i, j) of
-    the q-factor and (k, l) of the p-factor giving the entry
-    (i dim_p + k, j dim_p + l) with value ``coefficient * (q * p)``, and
-    all terms go into one CSR constructor, which sums the entries that
-    share a position.  No position gets more than two, so the sum does not
-    depend on their order, and the entries are the ones ``np.kron`` would
-    give.  Zero coefficients and cancelling terms leave explicit zeros,
+    one, is ``kron(d_q, p) - kron(q, d_p)``.  The terms are formed from
+    the nonzeros of their factors by index arithmetic (``_assemble``), and
+    the conversion to CSR sums the entries that share a position.  No
+    position gets more than two, so the sum does not depend on their
+    order, and the entries are the ones ``np.kron`` would give.  Zero
+    coefficients and cancelling terms leave explicit zeros,
     which are dropped: the decay curves read the stored pattern of K to
     check that it couples no two kept levels.
     """
@@ -189,22 +189,54 @@ def build(label: str, params: ModelParams, dim_q: int,
         raise ValueError("need at least two Hermite levels per variable")
     if label not in OPERATOR_LABELS:
         raise UnknownLabel("no operator labelled %r" % (label,))
+    matrix = _assemble(_kron_terms(label, params, dim_q, dim_p),
+                       dim_q, dim_p).tocsr()
+    matrix.eliminate_zeros()
+    return matrix
+
+
+def _assemble(terms, dim_q: int, dim_p: int,
+              symmetric: bool = False) -> scipy.sparse.coo_array:
+    """Sum of the Kronecker products of a table of (q-factor, p-factor,
+    coefficient) terms, with dim_q x dim_q q-factors and dim_p x dim_p
+    p-factors, stored entry by entry.
+
+    Each term is formed from the nonzeros of its two factors by index
+    arithmetic: the nonzero (i, j) of the q-factor and (k, l) of the
+    p-factor give the entry (i dim_p + k, j dim_p + l) with value
+    ``coefficient * (q * p)``, the entry ``np.kron`` gives.  The entries of
+    all terms are stored in table order, those that share a position
+    unsummed; a conversion to CSR, or ``_diagonal_blocks``, sums them.
+
+    With ``symmetric`` each term stands for the symmetric part
+    (T + T^T) / 2 of its product T = q (x) p, read on the nonzeros of q or
+    q^T and of p or p^T: the entry at (r, c) adds the products of T at
+    (r, c) and at (c, r), and the one at (c, r) adds the same two in the
+    other order.  Each term thus stores equal values at mirrored
+    positions, and a sum in table order is exactly symmetric.
+    """
     rows, cols, values = [], [], []
-    for q_factor, p_factor, coefficient in _kron_terms(label, params,
-                                                       dim_q, dim_p):
-        q_rows, q_cols = np.nonzero(q_factor)
-        p_rows, p_cols = np.nonzero(p_factor)
+    for q_factor, p_factor, coefficient in terms:
+        if symmetric:
+            q_rows, q_cols = np.nonzero((q_factor != 0) | (q_factor.T != 0))
+            p_rows, p_cols = np.nonzero((p_factor != 0) | (p_factor.T != 0))
+        else:
+            q_rows, q_cols = np.nonzero(q_factor)
+            p_rows, p_cols = np.nonzero(p_factor)
+        product = np.multiply.outer(q_factor[q_rows, q_cols],
+                                    p_factor[p_rows, p_cols])
+        if symmetric:
+            product += np.multiply.outer(q_factor[q_cols, q_rows],
+                                         p_factor[p_cols, p_rows])
+            coefficient = 0.5 * coefficient
         rows.append((q_rows[:, None] * dim_p + p_rows).ravel())
         cols.append((q_cols[:, None] * dim_p + p_cols).ravel())
-        values.append((coefficient * np.multiply.outer(
-            q_factor[q_rows, q_cols], p_factor[p_rows, p_cols])).ravel())
+        values.append((coefficient * product).ravel())
     # 32-bit indices, as scipy.sparse itself picks for any dense-factor size
-    matrix = scipy.sparse.csr_array(
+    return scipy.sparse.coo_array(
         (np.concatenate(values), (np.concatenate(rows).astype(np.int32),
                                   np.concatenate(cols).astype(np.int32))),
         shape=(dim_q * dim_p, dim_q * dim_p))
-    matrix.eliminate_zeros()
-    return matrix
 
 
 def semigroup_matrix(gen: np.ndarray, t: float) -> np.ndarray:
@@ -647,28 +679,55 @@ def _parity_weight(square: np.ndarray, scale: float) -> np.ndarray:
     return out
 
 
+def _gram_terms(terms, dims: int) -> list:
+    """Symmetric Kronecker terms (see ``_assemble``) of the Gram matrix
+    M^T M of M = sum_i c_i Q_i (x) P_i, the operator of the term table
+    ``terms``, restricted to the dims x dims interior of its box.
+
+    (A (x) B)^T (C (x) D) = A^T C (x) B^T D, and the pair (j, i) is the
+    transpose of the pair (i, j), so M^T M is the symmetric part of the
+    terms c_i^2 Q_i^T Q_i (x) P_i^T P_i and 2 c_i c_j Q_i^T Q_j (x) P_i^T P_j,
+    i < j, each factor cut to its first dims rows and columns.
+    """
+    gram = []
+    for i, (q_i, p_i, c_i) in enumerate(terms):
+        for j, (q_j, p_j, c_j) in enumerate(terms[i:], start=i):
+            gram.append(((q_i.T @ q_j)[:dims, :dims],
+                         (p_i.T @ p_j)[:dims, :dims],
+                         (1.0 if i == j else 2.0) * c_i * c_j))
+    return gram
+
+
 def _pencil_forms(params: ModelParams, dims: int):
-    """The two quadratic forms of the subelliptic pencil, sparse on a
-    (dims+2)-level assembly, with the states of its dims x dims interior
-    split by the parity of m + n: (left, right, (even states, odd states))."""
+    """The two quadratic forms of the subelliptic pencil on the dims x dims
+    interior, with its states split by the parity of m + n:
+    (left, right, (even states, odd states)).
+
+    Each form is assembled (see ``_assemble``) from a short table of
+    symmetric Kronecker terms: the Gram terms of K for ||K u||^2, and those
+    of O_p and of the transport sqrt(nu) X for the right form (see
+    ``_gram_terms``), with their one-variable products taken on dims + 2
+    levels so that the ladders' spill-over past the interior is kept; then
+    A (I (x) I) on the left and the q-weights (x) I on the right.  No
+    operator on the (dims+2)^2 box is formed, and both forms are exactly
+    symmetric.
+    """
     big = dims + 2
     qq, dq1, _ = _ops_1d(big)
-    gen, osc_p, x = (build(label, params, big, big)
-                     for label in ("K", "O_p", "X"))
-    transport = np.sqrt(params.nu) * x
+    # K = O_p + sqrt(nu) X: its first term is O_p, the others the transport
+    gen = _kron_terms("K", params, big, big)
     big_a = _potential_constants(params).a
     # <grad V>^{4/3} and <D_q>^{4/3} on the q factor
     weights = (_parity_weight(qq @ qq, params.nu)
                + _parity_weight(-dq1 @ dq1, 1.0))
-
-    left = gen.T @ gen + big_a * scipy.sparse.eye_array(big * big)
-    right = (osc_p.T @ osc_p + transport.T @ transport
-             + scipy.sparse.kron(scipy.sparse.csr_array(weights),
-                                 scipy.sparse.eye_array(big)))
-    m, n = np.divmod(np.arange(big * big), big)
-    interior = (m < dims) & (n < dims)
-    sectors = tuple(np.flatnonzero(interior & ((m + n) % 2 == parity))
-                    for parity in (0, 1))
+    eye = np.eye(dims)
+    left = _assemble(_gram_terms(gen, dims) + [(eye, eye, big_a)],
+                     dims, dims, symmetric=True)
+    right = _assemble(_gram_terms(gen[:1], dims) + _gram_terms(gen[1:], dims)
+                      + [(weights[:dims, :dims], eye, 1.0)],
+                      dims, dims, symmetric=True)
+    parity = np.sum(np.divmod(np.arange(dims * dims), dims), axis=0) % 2
+    sectors = (np.flatnonzero(parity == 0), np.flatnonzero(parity == 1))
     return left, right, sectors
 
 
@@ -678,18 +737,19 @@ def _sector_pencil_minimum(left, right, sectors) -> float:
 
     Each sparse form is cut into one dense block per sector in one pass
     over its stored entries; entries that touch a state outside every
-    sector are dropped.  Raises ParityNotConserved if either form stores an
-    entry between two sectors, and IndefinitePencil if the factorization of
-    a ``right`` block inside the generalized ``eigh`` finds it not positive
-    definite.
+    sector are dropped.  The forms are taken as symmetric: the generalized
+    ``eigh`` reads the lower triangle of each block, and ``_pencil_forms``
+    gives exactly symmetric ones.  Raises ParityNotConserved if either form
+    stores an entry between two sectors, and IndefinitePencil if the
+    factorization of a ``right`` block inside the generalized ``eigh``
+    finds it not positive definite.
     """
     coupled = "the subelliptic pencil couples the two parity sectors of m + n"
     lowest = []
     for a, b in zip(*(_diagonal_blocks(form, sectors, coupled)
                       for form in (left, right))):
         try:
-            eigenvalues = scipy.linalg.eigh(0.5 * (a + a.T), 0.5 * (b + b.T),
-                                            eigvals_only=True,
+            eigenvalues = scipy.linalg.eigh(a, b, eigvals_only=True,
                                             subset_by_index=(0, 0))
         except np.linalg.LinAlgError as exc:
             raise IndefinitePencil(
@@ -701,23 +761,27 @@ def _sector_pencil_minimum(left, right, sectors) -> float:
 def subelliptic_constant(params: ModelParams, dims: int = 16) -> float:
     """Largest c in the truncated subelliptic inequality, via a pencil.
 
-    On the dims x dims interior of a (dims+2)-level assembly, computes the
+    On the dims x dims interior of the (dims+2)-level box, computes the
     smallest generalized eigenvalue of
 
         ||K u||^2 + A ||u||^2  >=  c ( ||O_p u||^2 + ||X u||^2
                                       + ||<grad V>^{2/3} u||^2
                                       + ||<D_q>^{2/3} u||^2 ).
 
-    Both forms are assembled sparse from the CSR operators and Kronecker
-    factors.  The fractional powers are taken on eigenvalues of q^2 and
-    -d_q^2, each diagonalized on even and odd q-levels separately.  Every
-    term conserves the parity of m + n, so the pencil is solved as two
-    half-size dense pencils, one per parity, each cut from the sparse forms
-    in one pass over their stored entries, and the smaller lowest
-    eigenvalue is returned.  ParityNotConserved is raised if a form stores
-    an entry between the two sectors, IndefinitePencil if the right-hand
-    Gram is not positive definite.  The assembly margin keeps ladder
-    spill-over of the quadratic forms out of the restricted block.
+    Both forms are assembled sparse on the interior, straight from tables
+    of Gram terms of the one-variable factors (see ``_pencil_forms``); the
+    one-variable products are taken on dims + 2 levels, a margin that keeps
+    the ladders' spill-over in the quadratic forms, as the Gram matrices of
+    the (dims+2)^2-box operators restricted to the interior would.  The
+    fractional powers are taken on eigenvalues of q^2 and -d_q^2, each
+    diagonalized on even and odd q-levels separately.  Every term conserves
+    the parity of m + n, so the pencil is solved as two half-size dense
+    pencils, one per parity, each cut from the sparse forms in one pass
+    over their stored entries, and the smaller lowest eigenvalue is
+    returned.  The forms are exactly symmetric, so the blocks go to
+    ``eigh`` as cut.  ParityNotConserved is raised if a form stores an
+    entry between the two sectors, IndefinitePencil if the right-hand Gram
+    is not positive definite.
     """
     if dims < 8:
         raise ValueError("pencil needs at least 8 levels per direction")

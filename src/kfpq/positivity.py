@@ -61,6 +61,11 @@ _EPSILON0 = 0.5
 # e^{-t n1}: unscaled, X ~ e^{t n1} / (2 n1) overflows near
 # t n1 = 709.8 + log(2 n1), a little before A ~ e^{t n1} / (2 n1^2) does.
 _SCALED_SWITCH = 700.0
+# Below this real part of the ratio 2 A / (X - A), ``delta0`` takes the log of
+# (X + A) / (X - A) instead of log1p of the ratio: on the attracting side the
+# ratio tends to -1 as t grows, and 1 + ratio then keeps only
+# eps / |1 + ratio| of relative accuracy.
+_RATIO_SWITCH = -0.5
 
 
 class NonRealDelta0(ArithmeticError):
@@ -295,7 +300,13 @@ def delta0(t: float, params: ModelParams) -> float:
     the same formula.  For real n1 with t n1 past ``_SCALED_SWITCH`` the
     ratio 2 A / (X - A) is formed from A and X scaled by e^{-t n1}
     (``_scaled_ratio``), where unscaled X would overflow; the threshold
-    then tends to log((n1 + 1) / (n1 - 1)) / 2.
+    then tends to log((n1 + 1) / (n1 - 1)) / 2.  Where the real part of
+    the ratio is below ``_RATIO_SWITCH``, as on the attracting side from
+    t = 2.09 at nu = 0.5, 1.55 at nu = 1 and 0.74 at nu = 100 on,
+    1 + ratio is taken as (X + A) / (X - A) with
+    X + A = 2 S (C + S) + 1 - e^{-t}, so the threshold keeps its digits as
+    t grows and stays finite where X - A is: at nu = 1, alpha = pi / 2 it
+    is 14.67 at t = 30.
 
     Raises NonRealDelta0 if the closed expression is not finite or if its
     imaginary part exceeds ``_IMAG_TOL`` relative to the real part.
@@ -306,14 +317,22 @@ def delta0(t: float, params: ModelParams) -> float:
     # an overflow leaves a non-finite value, which the check below reports
     with np.errstate(over="ignore", invalid="ignore"):
         if n1sq > 0.0 and t * math.sqrt(n1sq) > _SCALED_SWITCH:
-            ratio = complex(_scaled_ratio(t, math.sqrt(n1sq)))
+            log_term = _log1p(complex(_scaled_ratio(t, math.sqrt(n1sq))))
         else:
             c, s = _flow_factors(t, n1sq)
             a = _bracket(t, n1sq, s)
-            # the real sinh stays numpy's: libm's rounds differently
+            # the real sinh and expm1 stay numpy's: libm's round differently
             x = 2 * c * s + np.sinh(t)
             ratio = _cdiv(2 * a, x - a)
-        val = _exp(-2j * params.alpha) / 2 * _log1p(ratio)
+            if ratio.real < _RATIO_SWITCH:
+                # 1 + ratio = (X + A) / (X - A), with X + A formed as
+                # 2 S (C + S) + 1 - e^{-t}, free of the cancellation of
+                # X against -A
+                log_term = cmath.log(_cdiv(2 * s * (c + s) - np.expm1(-t),
+                                           x - a))
+            else:
+                log_term = _log1p(ratio)
+        val = _exp(-2j * params.alpha) / 2 * log_term
     if not cmath.isfinite(val):
         raise NonRealDelta0("threshold is %r at t=%g" % (val, t))
     scale = max(1.0, abs(val.real))

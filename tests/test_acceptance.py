@@ -8,6 +8,7 @@ checks that the reporting pipeline itself is reproducible byte for byte.
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kfpq import acceptance
 from kfpq.cli import main
@@ -29,6 +30,21 @@ def _check(number: int) -> None:
 
 def test_criterion_01_algebra_closure():
     _check(1)
+
+
+def test_stacked_kernels_equal_their_per_matrix_calls():
+    # criteria 1 and 3 take their determinants and exponentials on stacks;
+    # their lines stay byte-identical only while each stacked result equals
+    # its own call bit for bit
+    rng = np.random.default_rng(1)
+    matrices = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal(
+        (200, 2, 2))
+    dets = np.linalg.det(matrices)
+    assert all(d == np.linalg.det(m) for d, m in zip(dets, matrices))
+    generators = 1j * rng.standard_normal((108, 4, 4))
+    stacked = scipy.linalg.expm(generators)
+    assert all(np.array_equal(e, scipy.linalg.expm(g))
+               for e, g in zip(stacked, generators))
 
 
 def _series_one_by_one(m):

@@ -1,5 +1,6 @@
 """Exact repelling-side norms, the resolvent integral, and the witness."""
 
+import sys
 import threading
 
 import mpmath
@@ -9,8 +10,9 @@ import pytest
 from kfpq import exactnorms
 from kfpq.acceptance import sweep_norms
 from kfpq.exactnorms import (_LOG_SWITCH, _STRIP_ROWS, _TILE_COLS,
-                             GridUnderResolved, WitnessGrid, _support_window,
-                             _witness_field, _witness_on_grid, _witness_tables,
+                             GridUnderResolved, WitnessGrid, _strip_plan,
+                             _support_window, _witness_field, _witness_sums,
+                             _witness_tables,
                              boosted_state_norm_quadrature,
                              optimality_witness, oscillator_norm_closed,
                              oscillator_norm_quadrature, overlap_closed,
@@ -216,6 +218,13 @@ class TestOptimalityWitness:
 def _rule(grid):
     """The Gauss-Legendre rule ``witness_rayleigh_numeric`` forms per call."""
     return np.polynomial.legendre.leggauss(grid.s_nodes)
+
+
+def _witness_on_grid(nu, xs, rows, bound):
+    """The serial evaluation of one grid: every strip job of its plan in
+    order on the calling thread, then the reduction."""
+    return _witness_sums(nu, xs, [job() for job in _strip_plan(xs, rows,
+                                                                bound)])
 
 
 def per_node_witness_field(nu, n, grid):
@@ -531,13 +540,89 @@ def _serial_witness(nu, grid):
     return coarse, fine
 
 
+def _gathered_bound(nu, n, grid):
+    """The column bound with a* and b* gathered row by row, n x s_nodes
+    table rows each."""
+    _, f_tab, g_tab = _witness_tables(nu, n, grid, _rule(grid))
+    cols = np.arange(n)
+
+    def bound(i0, i1):
+        a_star = np.clip(n - 1, i0 + cols, i1 - 1 + cols)
+        b_star = np.clip(n - 1, i0 - cols + n - 1, i1 - cols + n - 2)
+        return np.einsum("js,js->j", f_tab[a_star], g_tab[b_star])
+
+    return bound
+
+
+@pytest.mark.parametrize("log_nu", [8.5, 9.0, 16.0])
+@pytest.mark.parametrize("n", [601, 1201, 1801])
+def test_sliced_bound_matches_the_gathered_one_bit_for_bit(n, log_nu):
+    nu = float(np.exp(log_nu))
+    grid = WitnessGrid(n=n)
+    _, _, bound = _witness_field(nu, n, grid, _rule(grid))
+    reference = _gathered_bound(nu, n, grid)
+    half = n // 2
+    # every strip of the plan with its halo, then ranges that reach the
+    # grid's edges and its middle row
+    ranges = [(i0 - 2, min(i0 + _STRIP_ROWS, half) + 2)
+              for i0 in range(4, half, _STRIP_ROWS)]
+    ranges += [(half - 2, half + 3), (0, 1), (0, n), (n - 1, n),
+               (half, half + 1), (3, n - 2)]
+    for i0, i1 in ranges:
+        assert bound(i0, i1).tobytes() == reference(i0, i1).tobytes()
+
+
+def _serial_witness(nu, grid):
+    """The coarse grid, then the refined one, on the calling thread alone."""
+    rule = _rule(grid)
+    coarse = _witness_on_grid(nu, *_witness_field(nu, grid.n, grid, rule))
+    n_fine = int(round(grid.n * grid.refine_factor))
+    if n_fine % 2 == 0:
+        n_fine += 1
+    fine = _witness_on_grid(nu, *_witness_field(nu, n_fine, grid, rule))
+    return coarse, fine
+
+
+def _recorded_plans(monkeypatch, fail_on=None):
+    """Patch ``_strip_plan`` so each job records (grid size, plan index,
+    thread) as it starts, and return that list.
+
+    Whichever job starts first waits until a second one has started, so
+    the two threads each take at least one job.  A job started on the
+    thread ``fail_on`` returns, given one, raises MemoryError.
+    """
+    started = []
+    second = threading.Event()
+
+    def recording(xs, rows, bound):
+        def wrap(k, job):
+            def run():
+                started.append((xs.size, k, threading.get_ident()))
+                if len(started) == 1:
+                    assert second.wait(timeout=60.0)
+                else:
+                    second.set()
+                if fail_on is not None and fail_on(threading.get_ident()):
+                    raise MemoryError("strip job")
+                return job()
+            return run
+
+        return [wrap(k, job) for k, job in enumerate(_strip_plan(xs, rows,
+                                                                 bound))]
+
+    monkeypatch.setattr(exactnorms, "_strip_plan", recording)
+    return started
+
+
 class TestConcurrentGrids:
     @pytest.mark.parametrize("grid", [WitnessGrid(),
                                       WitnessGrid(n=601, s_nodes=32)],
                              ids=["default", "small"])
     def test_matches_serial_grids_bit_for_bit(self, grid):
         nu = float(np.exp(9.0))
+        before = threading.active_count()
         got = witness_rayleigh_numeric(nu, grid)
+        assert threading.active_count() == before
         (coarse_q, usq, x0sq, opsq), (fine_q, *_) = _serial_witness(nu, grid)
         assert got.quotient == fine_q
         assert got.coarse_quotient == coarse_q
@@ -545,23 +630,56 @@ class TestConcurrentGrids:
         assert (got.u_norm_sq, got.x0_norm_sq, got.op_norm_sq) == (usq, x0sq,
                                                                    opsq)
 
-    def test_coarse_grid_on_a_worker_fine_grid_on_the_caller(
-            self, monkeypatch):
-        seen = []
+    def test_one_queue_both_threads_fine_strips_first(self, monkeypatch):
+        fields = []
 
-        def recording(nu, xs, rows, bound):
-            seen.append((xs.size, threading.get_ident()))
-            return _witness_on_grid(nu, xs, rows, bound)
+        def recording_field(nu, n, grid, rule):
+            fields.append((n, threading.get_ident()))
+            return _witness_field(nu, n, grid, rule)
 
-        monkeypatch.setattr(exactnorms, "_witness_on_grid", recording)
-        before = threading.active_count()
-        witness_rayleigh_numeric(float(np.exp(9.0)),
-                                 WitnessGrid(n=601, s_nodes=32))
-        assert threading.active_count() == before
-        owners = dict(seen)
-        assert len(seen) == 2 and sorted(owners) == [601, 903]
-        assert owners[903] == threading.get_ident()
-        assert owners[601] != threading.get_ident()
+        monkeypatch.setattr(exactnorms, "_witness_field", recording_field)
+        started = _recorded_plans(monkeypatch)
+        nu, grid = float(np.exp(9.0)), WitnessGrid(n=601, s_nodes=32)
+        got = witness_rayleigh_numeric(nu, grid)
+        caller = threading.get_ident()
+        owners = dict(fields)
+        # the coarse tables on the worker, the refined ones on the caller
+        assert len(fields) == 2 and owners[903] == caller
+        assert owners[601] != caller
+        # every job ran once, shared between the caller and the one worker,
+        # and each thread took its jobs in queue order: the refined grid's
+        # first, each grid's in plan order
+        jobs = [(size, k) for size, k, _ in started]
+        assert len(set(jobs)) == len(jobs) == 9
+        assert {size for size, _ in jobs} == {601, 903}
+        assert {ident for *_, ident in started} == {caller, owners[601]}
+        for thread in (caller, owners[601]):
+            taken = [(size != 903, k) for size, k, ident in started
+                     if ident == thread]
+            assert taken == sorted(taken)
+        monkeypatch.undo()
+        assert got == witness_rayleigh_numeric(nu, grid)
+
+    def test_concurrent_calls_under_fast_thread_switching(self):
+        # three callers, each with its own worker, on two cores, switching
+        # threads every microsecond: each call keeps its own queue and sums
+        nu, grid = float(np.exp(9.0)), WitnessGrid(n=601, s_nodes=32)
+        want = witness_rayleigh_numeric(nu, grid)
+        results = []
+        callers = [threading.Thread(
+            target=lambda: results.append(witness_rayleigh_numeric(nu, grid)))
+            for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == [want] * 3
 
     def test_drift_above_tolerance_raises_and_joins_the_worker(self):
         nu = float(np.exp(9.0))
@@ -571,18 +689,34 @@ class TestConcurrentGrids:
             witness_rayleigh_numeric(nu, grid)
         assert threading.active_count() == before
 
-    def test_worker_error_comes_out_and_the_worker_is_joined(
+    @pytest.mark.parametrize("on_caller", [True, False],
+                             ids=["caller", "worker"])
+    def test_strip_error_comes_out_empties_the_queue_and_joins_the_worker(
+            self, monkeypatch, on_caller):
+        caller = threading.get_ident()
+        started = _recorded_plans(
+            monkeypatch, lambda ident: (ident == caller) == on_caller)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="strip job"):
+            witness_rayleigh_numeric(float(np.exp(9.0)),
+                                     WitnessGrid(n=601, s_nodes=32))
+        assert threading.active_count() == before
+        # nine jobs in all; the failing one empties the queue, so the other
+        # thread stops after the job it holds
+        assert len(started) < 9
+
+    def test_worker_field_error_comes_out_and_the_worker_is_joined(
             self, monkeypatch):
         caller = threading.get_ident()
 
-        def failing(nu, xs, rows, bound):
+        def failing(nu, n, grid, rule):
             if threading.get_ident() != caller:
-                raise MemoryError("coarse grid")
-            return _witness_on_grid(nu, xs, rows, bound)
+                raise MemoryError("coarse tables")
+            return _witness_field(nu, n, grid, rule)
 
-        monkeypatch.setattr(exactnorms, "_witness_on_grid", failing)
+        monkeypatch.setattr(exactnorms, "_witness_field", failing)
         before = threading.active_count()
-        with pytest.raises(MemoryError, match="coarse grid"):
+        with pytest.raises(MemoryError, match="coarse tables"):
             witness_rayleigh_numeric(float(np.exp(9.0)),
                                      WitnessGrid(n=601, s_nodes=32))
         assert threading.active_count() == before

@@ -119,6 +119,23 @@ class TestAssembly:
         assert np.array_equal(got, _dense_product_reference(label, params,
                                                             dim_q, dim_p))
 
+    def test_symmetric_terms_store_their_symmetric_part(self):
+        # a general, a skew and a symmetric factor, with zeros where only
+        # the transpose has an entry; every term stands for (T + T^T) / 2
+        rng = np.random.default_rng(3)
+        general = np.triu(rng.standard_normal((5, 5)), -1)
+        skew = np.triu(rng.standard_normal((4, 4)), 1)
+        skew -= skew.T
+        sym = rng.standard_normal((4, 4))
+        sym += sym.T
+        terms = [(general, skew, 0.7), (general.T, sym, -1.3),
+                 (np.eye(5), skew, 2.0)]
+        got = galerkin._assemble(terms, 5, 4, symmetric=True).toarray()
+        want = sum(c * 0.5 * (np.kron(q, p) + np.kron(q, p).T)
+                   for q, p, c in terms)
+        assert np.array_equal(got, got.T)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
     @pytest.mark.parametrize("label", OPERATOR_LABELS)
     @pytest.mark.parametrize("alpha", ALPHAS)
     @pytest.mark.parametrize("nu", [0.0, 2.7])
@@ -773,6 +790,32 @@ def _dense_pencil_reference(params, dims):
                                    eigvals_only=True)[0])
 
 
+def _sparse_product_forms(params, dims):
+    """The two pencil forms as sparse products of the operators on the
+    (dims+2)^2 box, the way they were assembled before the Gram-term
+    tables: (left, right, sectors), the sectors the parity classes of the
+    box's dims x dims interior."""
+    big = dims + 2
+    a = ladder(big)
+    qq = (a + a.T) / np.sqrt(2.0)
+    dq1 = (a - a.T) / np.sqrt(2.0)
+    gen, osc_p, x = (build(label, params, big, big)
+                     for label in ("K", "O_p", "X"))
+    transport = np.sqrt(params.nu) * x
+    big_a = galerkin._potential_constants(params).a
+    weights = (galerkin._parity_weight(qq @ qq, params.nu)
+               + galerkin._parity_weight(-dq1 @ dq1, 1.0))
+    left = gen.T @ gen + big_a * scipy.sparse.eye_array(big * big)
+    right = (osc_p.T @ osc_p + transport.T @ transport
+             + scipy.sparse.kron(scipy.sparse.csr_array(weights),
+                                 scipy.sparse.eye_array(big)))
+    m, n = np.divmod(np.arange(big * big), big)
+    interior = (m < dims) & (n < dims)
+    sectors = tuple(np.flatnonzero(interior & ((m + n) % 2 == parity))
+                    for parity in (0, 1))
+    return left, right, sectors
+
+
 class TestSubellipticConstant:
     @pytest.mark.parametrize("dims", [8, 12, 16])
     @pytest.mark.parametrize("nu", [1e-2, 1.0, 100.0, 1e4])
@@ -782,19 +825,37 @@ class TestSubellipticConstant:
         c = subelliptic_constant(params, dims=dims)
         assert c == pytest.approx(_dense_pencil_reference(params, dims),
                                   rel=1e-12)
-        # the sectors split the interior by the parity of m + n, and the
-        # sparse forms store no entry between the two parities
+        # the sectors split the dims x dims interior by the parity of
+        # m + n, and the forms store no entry between the two parities
         left, right, sectors = galerkin._pencil_forms(params, dims)
-        big = dims + 2
+        assert left.shape == right.shape == (dims * dims, dims * dims)
         assert np.array_equal(np.sort(np.concatenate(sectors)),
-                              interior_indices(big, big, 2))
+                              np.arange(dims * dims))
         for parity, states in enumerate(sectors):
-            assert np.all(np.sum(np.divmod(states, big), axis=0) % 2
+            assert np.all(np.sum(np.divmod(states, dims), axis=0) % 2
                           == parity)
         for form in (left, right):
             coo = form.tocoo()
-            assert np.array_equal((coo.row // big + coo.row % big) % 2,
-                                  (coo.col // big + coo.col % big) % 2)
+            assert np.array_equal((coo.row // dims + coo.row % dims) % 2,
+                                  (coo.col // dims + coo.col % dims) % 2)
+
+    @pytest.mark.parametrize("dims", [8, 13, 16, 24])
+    @pytest.mark.parametrize("nu", [1e-2, 1.0, 100.0, 1e4])
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_gram_term_sectors_match_sparse_products(self, dims, nu, alpha):
+        params = ModelParams(nu, alpha)
+        coupled = "cross-sector entry"
+        left, right, sectors = galerkin._pencil_forms(params, dims)
+        ref_left, ref_right, ref_sectors = _sparse_product_forms(params,
+                                                                 dims)
+        for form, ref in ((left, ref_left), (right, ref_right)):
+            blocks = galerkin._diagonal_blocks(form, sectors, coupled)
+            refs = galerkin._diagonal_blocks(ref, ref_sectors, coupled)
+            for block, ref_block in zip(blocks, refs):
+                # exactly symmetric, so eigh needs no symmetrization
+                assert np.array_equal(block, block.T)
+                scale = np.max(np.abs(ref_block))
+                assert np.max(np.abs(block - ref_block)) <= 1e-13 * scale
 
     def test_indefinite_right_hand_gram_raises(self):
         sectors = (np.array([0, 2]), np.array([1, 3]))

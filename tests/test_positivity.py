@@ -334,6 +334,49 @@ def test_threshold_continuous_across_the_scaled_switch():
         assert float(abs(delta0(t, params) / limit - 1)) <= 1.4e-12
 
 
+def _float_ratio(t, nu):
+    """The ratio 2 A / (X - A) as ``delta0`` forms it, attracting side."""
+    n1sq = ModelParams(nu=nu, alpha=np.pi / 2).n1sq
+    c, s = _flow_factors(t, n1sq)
+    a = _bracket(t, n1sq, s)
+    x = 2 * c * s + np.sinh(t)
+    return positivity._cdiv(2 * a, x - a)
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 100.0])
+def test_attracting_threshold_at_large_t_against_mpmath(nu):
+    # there 2 A / (X - A) = -1 + O(e^{-t}); log1p of it was 7.0e-10 off at
+    # nu = 1, t = 10 and raised NonRealDelta0 from t = 19.5 on
+    params = ModelParams(nu=nu, alpha=np.pi / 2)
+    for t in (5.0, 8.0, 10.0, 15.0, 19.5, 30.0):
+        exact = _delta0_mpmath(t, nu, np.pi / 2)
+        assert float(abs(delta0(t, params) - exact) / exact) <= 1e-14
+    if nu == 1.0:
+        assert abs(delta0(30.0, params) - 14.67) < 5e-3
+
+
+@pytest.mark.parametrize("nu", [0.5, 1.0, 100.0])
+def test_attracting_threshold_either_side_of_the_ratio_switch(nu):
+    # the double t where the ratio's real part crosses the switch, found by
+    # bisection on the ratio delta0 forms, and its neighbours
+    lo, hi = 0.05, 5.0
+    assert (_float_ratio(lo, nu).real >= positivity._RATIO_SWITCH
+            > _float_ratio(hi, nu).real)
+    while np.nextafter(lo, hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        if _float_ratio(mid, nu).real >= positivity._RATIO_SWITCH:
+            lo = mid
+        else:
+            hi = mid
+    params = ModelParams(nu=nu, alpha=np.pi / 2)
+    for t in (float(np.nextafter(lo, 0.0)), lo, hi,
+              float(np.nextafter(hi, np.inf))):
+        exact = _delta0_mpmath(t, nu, np.pi / 2)
+        assert float(abs(delta0(t, params) - exact) / exact) <= 1e-14
+
+
 def test_decay_envelope_at_small_t():
     # the threshold no longer comes out 0 here, which made the envelope
     # divide by zero
